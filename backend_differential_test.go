@@ -131,10 +131,10 @@ func TestBackendDifferentialCodec(t *testing.T) {
 	runDifferential(t, dir)
 }
 
-// TestShardingFileBacked shards a file-backed database: every shard arm
-// clones the media into its own sibling page file, answers must match
-// the unsharded ones, and Close must remove the ephemeral clone files.
-func TestShardingFileBacked(t *testing.T) {
+// TestQueryManyFileBacked runs the parallel QueryMany batch on the file
+// backend: every worker session reads the one real page file, and the
+// answers, in reversed input order, must match a serial loop.
+func TestQueryManyFileBacked(t *testing.T) {
 	db := testDB(t)
 	dir := t.TempDir()
 	if err := db.Save(dir); err != nil {
@@ -144,42 +144,28 @@ func TestShardingFileBacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := make([]string, fb.NumCells())
-	s := fb.NewSession()
-	for c := range base {
-		res, err := s.QueryCell(c, 0.003)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base[c] = publicFingerprint(res)
+	defer fb.Close()
+	n := fb.NumCells()
+	batch := make([]int, n)
+	for i := range batch {
+		batch[i] = n - 1 - i
 	}
-	if err := fb.EnableSharding(ShardConfig{Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	clones, err := filepath.Glob(filepath.Join(dir, "pages.dat.clone*"))
+	got, err := fb.NewSession().QueryMany(batch, 0.003)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(clones) != 2 {
-		t.Fatalf("sharding created %d clone page files, want 2: %v", len(clones), clones)
-	}
-	ss := fb.NewSession()
-	for c := range base {
-		res, err := ss.QueryCell(c, 0.003)
+	s := fb.NewSession()
+	for i, c := range batch {
+		want, err := s.QueryCell(c, 0.003)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if publicFingerprint(res) != base[c] {
-			t.Fatalf("cell %d: sharded file-backed answer diverged", c)
+		if publicFingerprint(got[i]) != publicFingerprint(want) {
+			t.Fatalf("slot %d (cell %d): file-backed QueryMany diverged from the serial answer", i, c)
 		}
 	}
-	if err := fb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range clones {
-		if _, err := os.Stat(c); !os.IsNotExist(err) {
-			t.Fatalf("clone page file %s survived Close: %v", c, err)
-		}
+	if fb.DiskStats().MeasuredTime <= 0 {
+		t.Fatal("file-backed QueryMany charged no MeasuredTime")
 	}
 }
 

@@ -52,8 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		guardOV  = fs.String("guardoverload", "", "compare fresh overload metrics against a committed reference file; exit 1 on a broken resilience invariant or >50% latency regression")
 		writeDU  = fs.String("writedynupdate", "", "measure and write the dynupdate reference file, then exit")
 		guardDU  = fs.String("guarddynupdate", "", "compare fresh dynupdate metrics against a committed reference file; exit 1 on a broken locality gate or >25% drift")
-		writeSS  = fs.String("writeshardscale", "", "measure and write the shardscale reference file, then exit")
-		guardSS  = fs.String("guardshardscale", "", "compare fresh shardscale metrics against a committed reference file; exit 1 on divergent answers, a sub-3x 8-shard speedup, or >25% drift")
 		writeHW  = fs.String("writehwcalib", "", "calibrate the file backend, measure, and write the hwcalib reference file, then exit")
 		guardHW  = fs.String("guardhwcalib", "", "re-run the file-backend calibration and check the wall-clock gates against a committed reference file; exit 1 on a missed gate")
 		benchfmt = fs.Bool("benchfmt", false, "with a write*/guard* flag: also print the metrics as Go benchmark lines (benchstat-compatible)")
@@ -177,20 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *writeSS != "" {
-		ss, err := bench.CollectShardScale(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteShardScale(*writeSS, ss); err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "shardscale reference written to %s (workload %s)\n", *writeSS, ss.Workload)
-		return 0
-	}
-
 	if *writeHW != "" {
 		hc, err := bench.CollectHWCalib(p)
 		if err != nil {
@@ -233,28 +217,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			bench.WriteBenchHeader(stdout)
 			bench.BenchFmtHWCalib(stdout, cur, p.ScalQueries)
 		}
-		return 0
-	}
-
-	if *guardSS != "" {
-		ref, err := bench.LoadShardScale(*guardSS)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 2
-		}
-		cur, err := bench.CollectShardScale(p)
-		if err != nil {
-			fmt.Fprintf(stderr, "hdovbench: %v\n", err)
-			return 1
-		}
-		if bad := bench.CompareShardScale(ref, cur, 0.25); len(bad) > 0 {
-			for _, line := range bad {
-				fmt.Fprintf(stderr, "hdovbench: regression: %s\n", line)
-			}
-			return 1
-		}
-		fmt.Fprintf(stdout, "shardscale guard passed (workload %s, 8-shard speedup %.2fx)\n",
-			ref.Workload, cur.SpeedupAt8)
 		return 0
 	}
 

@@ -11,12 +11,6 @@
 // interrupted CommitEpoch is visible at a glance (strays with epoch=0
 // deltas=0 mean the commit never landed).
 //
-// A directory containing shardmap.json is a sharded save (SaveSharded):
-// the shard map is validated as an exact partition of the viewing-cell
-// grid, and every shard's own database directory is checked with the
-// same manifest/image/layout/codec battery — one damaged shard marks the
-// whole topology damaged.
-//
 // Usage:
 //
 //	hdovfsck DIR...
@@ -28,16 +22,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
-	"repro/internal/cells"
 	"repro/internal/dbfile"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -61,70 +51,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	exit := 0
 	for _, dir := range fs.Args() {
-		if sub, ok := shardDirs(dir, stdout, stderr, &exit); ok {
-			for _, sd := range sub {
-				checkOne(sd, *repair, *deep, stdout, stderr, &exit)
-			}
-			continue
-		}
 		checkOne(dir, *repair, *deep, stdout, stderr, &exit)
 	}
 	return exit
-}
-
-// shardDirs detects a sharded save: when dir/shardmap.json exists it
-// validates the persisted map as an exact grid partition and returns the
-// shard database directories to check. The bool reports detection, not
-// validity — a sharded dir with a broken map returns (nil, true) and
-// marks the run damaged.
-func shardDirs(dir string, stdout, stderr io.Writer, exit *int) ([]string, bool) {
-	raw, err := os.ReadFile(filepath.Join(dir, "shardmap.json"))
-	if os.IsNotExist(err) {
-		return nil, false
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "hdovfsck: %s: %v\n", dir, err)
-		*exit = 2
-		return nil, true
-	}
-	var man struct {
-		NumCells int      `json:"num_cells"`
-		Starts   []int    `json:"starts"`
-		Dirs     []string `json:"dirs"`
-	}
-	if err := json.Unmarshal(raw, &man); err != nil {
-		fmt.Fprintf(stdout, "%s: DAMAGED (shardmap.json: %v)\n", dir, err)
-		if *exit == 0 {
-			*exit = 1
-		}
-		return nil, true
-	}
-	m := shard.Map{NumCells: man.NumCells}
-	for _, s := range man.Starts {
-		m.Starts = append(m.Starts, cells.CellID(s))
-	}
-	if err := m.Validate(); err != nil {
-		fmt.Fprintf(stdout, "%s: DAMAGED (shard map: %v)\n", dir, err)
-		if *exit == 0 {
-			*exit = 1
-		}
-		return nil, true
-	}
-	if len(man.Dirs) != m.Shards() {
-		fmt.Fprintf(stdout, "%s: DAMAGED (shard map: %d shards but %d directories)\n",
-			dir, m.Shards(), len(man.Dirs))
-		if *exit == 0 {
-			*exit = 1
-		}
-		return nil, true
-	}
-	fmt.Fprintf(stdout, "%s: sharded, %d shards over %d cells, map partitions exactly\n",
-		dir, m.Shards(), m.NumCells)
-	out := make([]string, len(man.Dirs))
-	for i, sub := range man.Dirs {
-		out[i] = filepath.Join(dir, sub)
-	}
-	return out, true
 }
 
 // checkOne runs the standard single-database battery on dir, raising

@@ -171,69 +171,6 @@ func TestFsckGolden(t *testing.T) {
 	checkGolden(t, "fsck.golden", normalize(out.String(), dirs))
 }
 
-// TestFsckSharded round-trips SaveSharded through the checker: an intact
-// topology passes with every shard verified, a broken map and a damaged
-// shard image are both flagged.
-func TestFsckSharded(t *testing.T) {
-	cfg := hdov.DefaultConfig()
-	cfg.Scene.Blocks = 2
-	cfg.GridCells = 4
-	cfg.DoVRays = 256
-	cfg.Scene.NominalBytes = 8 << 20
-	db, err := hdov.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.EnableSharding(hdov.ShardConfig{Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "sharded")
-	if err := db.SaveSharded(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	var out, errB bytes.Buffer
-	if code := run([]string{"-deep", dir}, &out, &errB); code != 0 {
-		t.Fatalf("intact sharded dir: code = %d\nstdout: %s\nstderr: %s", code, out.String(), errB.String())
-	}
-	if !strings.Contains(out.String(), "sharded, 2 shards") {
-		t.Fatalf("missing shard map line:\n%s", out.String())
-	}
-	if got := strings.Count(out.String(), "deep: open ok"); got != 2 {
-		t.Fatalf("deep-opened %d shards, want 2:\n%s", got, out.String())
-	}
-
-	// Damage one shard's image: the topology must report damaged.
-	img := filepath.Join(dir, "shard-001", "disk.img")
-	raw, err := os.ReadFile(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(img, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errB.Reset()
-	if code := run([]string{dir}, &out, &errB); code != 1 {
-		t.Fatalf("damaged shard: code = %d\n%s", code, out.String())
-	}
-
-	// Break the map itself: overlapping starts fail validation.
-	if err := os.WriteFile(filepath.Join(dir, "shardmap.json"),
-		[]byte(`{"num_cells":16,"starts":[0,0],"dirs":["shard-000","shard-001"]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errB.Reset()
-	if code := run([]string{dir}, &out, &errB); code != 1 {
-		t.Fatalf("broken map: code = %d\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "shard map") {
-		t.Fatalf("broken map not reported:\n%s", out.String())
-	}
-}
-
 func TestFsckRepairGolden(t *testing.T) {
 	corrupt := copyDB(t, "bad-crc")
 	img := filepath.Join(corrupt, "disk.img")

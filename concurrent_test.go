@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // TestConcurrentSessionsDeterministic: with the pool disabled, every
 // session must see the paper's exact single-client accounting (Figure 8
-// page counts) no matter how many run at once, and identical answers.
+// page counts) no matter how many run at once, and identical answers;
+// a parallel QueryMany batch must answer like a serial loop.
 func TestConcurrentSessionsDeterministic(t *testing.T) {
 	db := testDB(t)
 	p := centerPoint(db)
@@ -53,6 +55,88 @@ func TestConcurrentSessionsDeterministic(t *testing.T) {
 			t.Fatalf("client %d query light IO = %d, want %d", i, results[i].LightIO, ref.LightIO)
 		}
 	}
+
+	// QueryMany fans a batch out over worker sessions of the caller's
+	// epoch: answers match a serial QueryCell loop byte for byte and in
+	// input order, for a shuffled batch too, and the workers' I/O is
+	// billed to the calling session — on this otherwise idle DB it is
+	// exactly what the disk counted.
+	n := db.NumCells()
+	want := make([]string, n)
+	serial := db.NewSession()
+	inOrder := make([]int, n)
+	shuffled := make([]int, n)
+	for c := 0; c < n; c++ {
+		r, err := serial.QueryCell(c, 0.001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[c] = publicFingerprint(r)
+		inOrder[c] = c
+		shuffled[c] = (c*7 + 3) % n // 7 is coprime to the 36-cell grid
+	}
+	for _, batch := range [][]int{inOrder, shuffled} {
+		s := db.NewSession()
+		before := db.DiskStats()
+		got, err := s.QueryMany(batch, 0.001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(batch) {
+			t.Fatalf("QueryMany returned %d results for %d cells", len(got), len(batch))
+		}
+		for i, c := range batch {
+			if publicFingerprint(got[i]) != want[c] {
+				t.Fatalf("QueryMany slot %d (cell %d) differs from the serial answer", i, c)
+			}
+		}
+		if d, st := diskStatsDelta(db.DiskStats(), before), s.Stats(); d != st {
+			t.Fatalf("session stats %+v, disk delta %+v", st, d)
+		}
+	}
+
+	// An out-of-range cell rejects the whole batch before any query runs.
+	s := db.NewSession()
+	before := db.DiskStats()
+	for _, bad := range [][]int{{0, n}, {-1, 0}} {
+		if _, err := s.QueryMany(bad, 0.001); err == nil {
+			t.Fatalf("QueryMany(%v) accepted an out-of-range cell", bad)
+		}
+	}
+	if db.DiskStats() != before || s.Stats() != (DiskStats{}) {
+		t.Fatal("a rejected QueryMany batch charged I/O")
+	}
+}
+
+// diskStatsDelta returns a - b field by field.
+func diskStatsDelta(a, b DiskStats) DiskStats {
+	return DiskStats{
+		Reads: a.Reads - b.Reads, Seeks: a.Seeks - b.Seeks,
+		LightReads: a.LightReads - b.LightReads, HeavyReads: a.HeavyReads - b.HeavyReads,
+		Retries:        a.Retries - b.Retries,
+		SimTime:        a.SimTime - b.SimTime,
+		MeasuredTime:   a.MeasuredTime - b.MeasuredTime,
+		PoolHits:       a.PoolHits - b.PoolHits,
+		PoolMisses:     a.PoolMisses - b.PoolMisses,
+		PrefetchHits:   a.PrefetchHits - b.PrefetchHits,
+		PrefetchWasted: a.PrefetchWasted - b.PrefetchWasted,
+		VDCacheHits:    a.VDCacheHits - b.VDCacheHits,
+		CoalescedReads: a.CoalescedReads - b.CoalescedReads,
+	}
+}
+
+// publicFingerprint renders a public Result's answer bytes.
+func publicFingerprint(r *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "cell=%d eta=%g\n", r.Cell, r.Eta)
+	for _, it := range r.Items {
+		fmt.Fprintf(&b, "%d %d %x %x %d %x %d\n",
+			it.ObjectID, it.NodeID, it.DoV, it.Detail, it.Level, it.Polygons, it.Bytes)
+	}
+	for _, dg := range r.Degradations {
+		fmt.Fprintf(&b, "deg %d %d %s\n", dg.Node, dg.Object, dg.Cause)
+	}
+	return b.String()
 }
 
 // TestConcurrentQueriesAndSave hammers one open DB from many goroutines —

@@ -257,6 +257,47 @@ func TestDynamicWriterReaderStress(t *testing.T) {
 	}
 }
 
+// TestDBQueryDuringUpdate: DB-level queries read the current epoch under
+// the epoch lock, so one goroutine looping DB.QueryCell while Update
+// batches commit never errors and, under -race, reports no data race.
+func TestDBQueryDuringUpdate(t *testing.T) {
+	db, err := Build(dynConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := db.NumCells()
+	done := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		for c := 0; ; c = (c + 1) % n {
+			select {
+			case <-done:
+				errc <- nil
+				return
+			default:
+			}
+			if _, err := db.QueryCell(c, 0.001); err != nil {
+				errc <- fmt.Errorf("cell %d: %w", c, err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		if _, err := db.Update(func(u *Updater) {
+			u.Insert(InsertSpec{Seed: int64(300 + i), X: 20 + float64(i)*7, Y: 25, Radius: 1.5})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if db.Epoch() != 3 {
+		t.Fatalf("epoch %d after 3 batches", db.Epoch())
+	}
+}
+
 // TestDynamicPersistRoundTrip: Save, evolve, CommitEpoch, reopen — the
 // reopened database answers byte-identically to the live one, carries the
 // op log, and remains updatable.

@@ -45,7 +45,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/naive"
 	"repro/internal/scene"
-	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/visibility"
 	"repro/internal/vstore"
@@ -188,12 +187,6 @@ type DB struct {
 	naive  *naive.Store            // hdov:guarded-by mu
 	engine *visibility.Engine      // hdov:guarded-by mu
 
-	// router, when non-nil, partitions the viewing-cell grid across
-	// shard stores and routes new sessions (see EnableSharding); shardCfg
-	// remembers the enabling configuration so Update can re-shard.
-	router   *shard.Router // hdov:guarded-by mu
-	shardCfg ShardConfig   // hdov:guarded-by mu
-
 	// mu guards the epoch swap: Update replaces scene/tree/vis/stores
 	// under mu.Lock, NewSession pins the current tree under mu.RLock.
 	mu sync.RWMutex
@@ -305,10 +298,10 @@ func (db *DB) snapshot() (*core.Tree, *scene.Scene) {
 	return db.tree, db.scene
 }
 
-// SetScheme switches the storage layout served to Query — on every
-// shard store too, when sharding is enabled.
+// SetScheme switches the storage layout served to Query.
 func (db *DB) SetScheme(s Scheme) {
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	switch s {
 	case SchemeHorizontal:
 		db.tree.SetVStore(db.h)
@@ -318,11 +311,6 @@ func (db *DB) SetScheme(s Scheme) {
 		db.tree.SetVStore(db.iv)
 	}
 	db.cfg.Scheme = s
-	r := db.router
-	db.mu.Unlock()
-	if r != nil {
-		r.SetScheme(shardScheme(s))
-	}
 }
 
 // Scheme returns the active storage layout.
@@ -456,12 +444,8 @@ type FaultPlan struct {
 // with an error.
 func (db *DB) SetFaultTolerant(on bool) {
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	db.tree.FaultTolerant = on
-	r := db.router
-	db.mu.Unlock()
-	if r != nil {
-		r.SetFaultTolerant(on)
-	}
 }
 
 // FaultTolerant reports whether degraded-mode traversal is enabled.
@@ -471,31 +455,23 @@ func (db *DB) FaultTolerant() bool {
 	return db.tree.FaultTolerant
 }
 
-// InjectFaults installs the fault plan on the database's disk — and on
-// every shard store's, when sharding is enabled. Passing a
+// InjectFaults installs the fault plan on the database's disk. Passing a
 // zero-probability plan installs an injector that never fires.
 func (db *DB) InjectFaults(p FaultPlan) {
-	cfg := storage.FaultConfig{
+	db.disk.InjectFaults(storage.FaultConfig{
 		Seed:          p.Seed,
 		PageProb:      p.PageProb,
 		TransientFrac: p.TransientFrac,
 		MaxRetries:    p.MaxRetries,
 		Jitter:        p.RetryJitter,
-	}
-	db.disk.InjectFaults(cfg)
-	if r := db.currentRouter(); r != nil {
-		r.InjectFaults(cfg)
-	}
+	})
 }
 
-// ClearFaults removes the fault injectors and forgets the quarantined
+// ClearFaults removes the fault injector and forgets the quarantined
 // pages degraded-mode traversal has learned to avoid.
 func (db *DB) ClearFaults() {
 	db.disk.ClearFaults()
 	db.disk.ClearQuarantine()
-	if r := db.currentRouter(); r != nil {
-		r.ClearFaults()
-	}
 }
 
 // fidelityTruth computes the ground-truth point DoV field at p.

@@ -32,12 +32,6 @@ import (
 // (the crash-point harness compares recovered directories byte-for-byte
 // against what the commit protocol promised).
 //
-// internal/shard is in scope for the same reason: the router's merge
-// discipline promises answers byte-identical to the single-store
-// baseline, so shard iteration, scatter grouping and stats aggregation
-// must walk slices in index order — a map range over shards would
-// reorder per-store access sequences between runs.
-//
 // The pass additionally enforces prefetch isolation (DESIGN.md §12): the
 // background prefetcher must never see query state, or its timing could
 // leak into answers. In internal/storage, goroutine bodies may not
@@ -56,7 +50,7 @@ func (*DeterminismPass) Name() string { return "determinism" }
 func (p *DeterminismPass) scope(pkg *Package) bool {
 	pats := p.Packages
 	if len(pats) == 0 {
-		pats = []string{"internal/core", "internal/vstore", "internal/dbfile", "internal/shard", "root"}
+		pats = []string{"internal/core", "internal/vstore", "internal/dbfile", "root"}
 	}
 	for _, s := range pats {
 		if s == "root" {

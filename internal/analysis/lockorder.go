@@ -24,11 +24,6 @@ import (
 // tracking held locks by their selector spelling (`d.mu`, `s.statsMu`),
 // with defer-awareness: `defer x.Unlock()` keeps x held to the end of
 // the function rather than releasing it mid-body.
-//
-// internal/shard is in scope too: the router's topology mutex serializes
-// only pointer swaps and replica publication — rule 3 keeps store opens,
-// clones and any other I/O out of its critical sections, so a promotion
-// can never stall in-flight queries.
 type LockOrderPass struct {
 	// Packages restricts the pass (import-path suffix match). Empty means
 	// the storage default.
@@ -42,7 +37,7 @@ func (*LockOrderPass) Name() string { return "lockorder" }
 func (p *LockOrderPass) scope(pkg *Package) bool {
 	pats := p.Packages
 	if len(pats) == 0 {
-		pats = []string{"internal/storage", "internal/shard"}
+		pats = []string{"internal/storage"}
 	}
 	for _, s := range pats {
 		if strings.HasSuffix(pkg.Path, s) {

@@ -208,7 +208,6 @@ func All() []Experiment {
 		{ID: "vpagecodec", Title: "Extension: compressed V-page layout, bytes and light-I/O cost vs raw", Run: RunVPageCodec},
 		{ID: "overload", Title: "Extension: overload resilience — admission, shedding, breaker, cancellation", Run: RunOverload},
 		{ID: "dynupdate", Title: "Extension: incremental updates — locality, LoD reuse, write cost vs rebuild", Run: RunDynUpdate},
-		{ID: "shardscale", Title: "Extension: sharded stores — scatter-gather routing, near-linear scaling, hot-range replicas", Run: RunShardScale},
 		{ID: "hwcalib", Title: "Extension: hardware in the loop — file-backend calibration, fitted cost model, sim vs measured", Run: RunHWCalib},
 		{ID: "summary", Title: "Conformance digest: every headline shape claim, PASS/FAIL", Run: RunSummary},
 	}

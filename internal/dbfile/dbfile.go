@@ -79,8 +79,8 @@ const (
 // PagesFileName is the page file a file-backed open materializes inside
 // the database directory. It is derived state — rebuilt from disk.img and
 // the delta chain on every OpenWith — never part of the commit protocol,
-// so fsck classifies it (and its .cloneN shard siblings) as Derived, not
-// Stray.
+// so fsck classifies it (and any .cloneN backend-clone siblings) as Derived,
+// not Stray.
 const PagesFileName = "pages.dat"
 
 // Manifest is the JSON document describing a saved database.

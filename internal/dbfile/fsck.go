@@ -47,10 +47,10 @@ type FsckReport struct {
 	// rename, or of a Save compaction).
 	Stray []string
 	// Derived lists regenerable artifacts of a file-backed open — the
-	// pages.dat page file and its .cloneN shard siblings. They are rebuilt
-	// from disk.img and the delta chain on every OpenWith, carry no
-	// committed state, and are deliberately neither damage nor Stray
-	// (Repair leaves them alone).
+	// pages.dat page file and any .cloneN backend-clone siblings. They
+	// are rebuilt from disk.img and the delta chain on every OpenWith,
+	// carry no committed state, and are deliberately neither damage nor
+	// Stray (Repair leaves them alone).
 	Derived []string
 	// Epoch, OpsLogged and DeltasApplied summarize the dynamic-scene
 	// state of an intact manifest: the committed epoch counter, the op

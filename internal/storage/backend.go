@@ -41,9 +41,6 @@ type Backend interface {
 	// Allocate grows the media to hold at least totalPages pages
 	// (grow-only; shrinking requests are ignored).
 	Allocate(totalPages int64) error
-	// Release drops the materialized content of the given pages (they
-	// read back zero-filled afterwards), returning how many held data.
-	Release(ids []PageID) int
 	// StoredPages returns the IDs of materialized pages >= from, in
 	// ascending order — the image/delta writers' enumeration.
 	StoredPages(from PageID) []PageID

@@ -143,49 +143,48 @@ func TestImageRoundTripIntoFileBackend(t *testing.T) {
 	}
 }
 
-// TestCloneFileBacked extends the Clone differential to backend-backed
-// stores: a clone of a file-backed disk shares content at clone time and
-// is isolated afterwards, exactly like the simulated clone.
+// TestCloneFileBacked holds Backend.Clone to one contract on both media:
+// the clone starts with the source's page content, and writes on either
+// side afterwards stay invisible to the other.
 func TestCloneFileBacked(t *testing.T) {
-	_, fd := diskPair(t, 128)
-	fill(t, fd)
-	c, err := fd.Clone()
+	fs, err := filestore.Create(filepath.Join(t.TempDir(), "pages.dat"), 128, filestore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	var a, b bytes.Buffer
-	if _, err := fd.WriteTo(&a); err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { _ = fs.Close() })
+	first := func(b storage.Backend, id storage.PageID) byte {
+		buf := make([]byte, b.PageSize())
+		if err := b.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf[0]
 	}
-	if _, err := c.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("file-backed clone image differs from source")
-	}
-	if err := fd.WritePage(0, bytes.Repeat([]byte{0xEE}, 128)); err != nil {
-		t.Fatal(err)
-	}
-	p, err := c.ReadPage(0, storage.ClassLight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p[0] == 0xEE {
-		t.Fatal("source write leaked into file-backed clone")
-	}
-	if err := c.WritePage(1, bytes.Repeat([]byte{0xDD}, 128)); err != nil {
-		t.Fatal(err)
-	}
-	p, err = fd.ReadPage(1, storage.ClassLight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p[0] == 0xDD {
-		t.Fatal("clone write leaked into file-backed source")
-	}
-	if n := c.ReleasePages([]storage.PageID{2}); n != 1 {
-		t.Fatalf("clone released %d pages, want 1", n)
+	for _, src := range []storage.Backend{storage.NewMemBackend(128), fs} {
+		if err := src.Allocate(4); err != nil {
+			t.Fatal(err)
+		}
+		for id := storage.PageID(0); id < 3; id++ {
+			if err := src.WritePage(id, bytes.Repeat([]byte{byte(id + 1)}, 128)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := src.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if c.StoredCount() != 3 || first(c, 2) != 3 {
+			t.Fatalf("%T clone: %d stored pages, page 2 starts %#x", src, c.StoredCount(), first(c, 2))
+		}
+		if err := src.WritePage(0, bytes.Repeat([]byte{0xEE}, 128)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WritePage(1, bytes.Repeat([]byte{0xDD}, 128)); err != nil {
+			t.Fatal(err)
+		}
+		if first(c, 0) != 1 || first(src, 1) != 2 {
+			t.Fatalf("%T: a write leaked across the clone boundary", src)
+		}
 	}
 }
 

@@ -144,7 +144,7 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// Add returns s + o, for aggregating accounting across shard stores.
+// Add returns s + o, for aggregating accounting across clients.
 func (s Stats) Add(o Stats) Stats { return s.add(o) }
 
 // add returns s + o.
@@ -891,6 +891,11 @@ func (c *Client) Stats() Stats {
 	defer c.mu.Unlock()
 	return c.s
 }
+
+// Absorb folds another client's accounting into c without charging the
+// disk again: the disk counted those reads when they happened. A batch
+// that fans out over worker clients uses it to bill the caller.
+func (c *Client) Absorb(s Stats) { c.add(s) }
 
 // ResetStats zeroes the client's counters (the disk's are untouched).
 func (c *Client) ResetStats() {

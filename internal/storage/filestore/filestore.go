@@ -10,11 +10,10 @@
 //
 // The file is sparse: Allocate only truncates (with headroom, so builds
 // that grow page by page do not remap per allocation), never-written
-// pages read back as holes (zeros), and Release punches holes so trimmed
-// shard stores shrink their real footprint too. A written-page set is
-// kept in memory for StoredPages/StoredCount — the store always starts
-// empty (Create truncates) and is repopulated by replaying an image, so
-// the set is exact.
+// pages read back as holes (zeros). A written-page set is kept in memory
+// for StoredPages/StoredCount — the store always starts empty (Create
+// truncates) and is repopulated by replaying an image, so the set is
+// exact.
 package filestore
 
 import (
@@ -43,7 +42,7 @@ type Options struct {
 	// slower writes). Without it, writes are buffered and Sync fsyncs.
 	OSync bool
 	// ephemeral removes the file on Close — clone siblings use it so
-	// shard arms clean up after themselves.
+	// they clean up after themselves.
 	ephemeral bool
 }
 
@@ -245,33 +244,6 @@ func (s *Store) remapLocked() {
 	s.mm = mm
 }
 
-// Release punches the given pages out of the file (falling back to
-// writing zeros where hole-punching is unsupported), returning how many
-// held data.
-func (s *Store) Release(ids []storage.PageID) int {
-	n := 0
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var zeros []byte
-	for _, id := range ids {
-		if _, ok := s.written[id]; !ok {
-			continue
-		}
-		delete(s.written, id)
-		n++
-		off := int64(id) * int64(s.pageSize)
-		if err := punchHole(s.f, off, int64(s.pageSize)); err != nil {
-			if zeros == nil {
-				zeros = make([]byte, s.pageSize)
-			}
-			// Zero-write fallback keeps read-back semantics identical
-			// even where the blocks stay allocated.
-			_, _ = s.f.WriteAt(zeros, off)
-		}
-	}
-	return n
-}
-
 // StoredPages returns the written page IDs >= from, ascending.
 func (s *Store) StoredPages(from storage.PageID) []storage.PageID {
 	s.mu.RLock()
@@ -307,8 +279,7 @@ func (s *Store) Sync() error {
 
 // Clone copies the written pages into a sibling file (path.cloneN) and
 // returns an independent store over it. The sibling is ephemeral: its
-// Close removes the file. Shard stores clone the database disk through
-// this, giving every shard a genuinely separate set of OS pages.
+// Close removes the file.
 func (s *Store) Clone() (storage.Backend, error) {
 	path := fmt.Sprintf("%s.clone%d", s.path, s.clones.Add(1))
 	c, err := Create(path, s.pageSize, Options{NoMmap: s.nommap, OSync: s.osync, ephemeral: true})

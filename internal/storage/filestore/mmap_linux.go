@@ -17,15 +17,3 @@ func mmapFile(f *os.File, length int) ([]byte, error) {
 func munmapFile(b []byte) error {
 	return syscall.Munmap(b)
 }
-
-// Linux fallocate mode bits (not exported by the stdlib syscall package).
-const (
-	fallocFlKeepSize  = 0x1
-	fallocFlPunchHole = 0x2
-)
-
-// punchHole deallocates [off, off+length) so the blocks are returned to
-// the filesystem and read back as zeros.
-func punchHole(f *os.File, off, length int64) error {
-	return syscall.Fallocate(int(f.Fd()), fallocFlPunchHole|fallocFlKeepSize, off, length)
-}

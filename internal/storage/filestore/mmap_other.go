@@ -14,9 +14,3 @@ func mmapFile(f *os.File, length int) ([]byte, error) {
 
 // munmapFile is never reached without a successful mmapFile.
 func munmapFile(b []byte) error { return nil }
-
-// punchHole reports hole-punching as unavailable; Release falls back to
-// writing zeros.
-func punchHole(f *os.File, off, length int64) error {
-	return errors.ErrUnsupported
-}

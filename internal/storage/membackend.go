@@ -89,20 +89,6 @@ func (b *MemBackend) Allocate(totalPages int64) error {
 	return nil
 }
 
-// Release drops the materialized content of the given pages.
-func (b *MemBackend) Release(ids []PageID) int {
-	n := 0
-	b.mu.Lock()
-	for _, id := range ids {
-		if _, ok := b.data[id]; ok {
-			delete(b.data, id)
-			n++
-		}
-	}
-	b.mu.Unlock()
-	return n
-}
-
 // StoredPages returns the materialized page IDs >= from, ascending.
 func (b *MemBackend) StoredPages(from PageID) []PageID {
 	b.mu.RLock()

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cells"
 	"repro/internal/core"
 	"repro/internal/overload"
 	"repro/internal/render"
@@ -41,26 +40,6 @@ type SessionManager struct {
 	Shedder *overload.Shedder
 	// FrameBudget bounds each player frame's query + fetch (0 = none).
 	FrameBudget time.Duration
-	// Routes, when set, supplies per-player shard routing: called once
-	// per player, it returns the player's cell→tree route function and
-	// an accounting snapshot summing that player's I/O across every
-	// shard store it touched (replacing the base session's counters in
-	// PlayerTrace.IO). The sharded serve path wires the shard router
-	// here; nil keeps every player on Base.
-	Routes func() (func(cells.CellID) *core.Tree, func() storage.Stats)
-	// ShedBases lists additional trees whose ShedPolicy flips alongside
-	// Base when the Shedder trips — the sharded serve path lists every
-	// shard store's base tree so all routed sessions shed the same
-	// fidelity level at the same time.
-	ShedBases []*core.Tree
-}
-
-// setShed installs the policy on Base and every ShedBases tree.
-func (m *SessionManager) setShed(p *core.ShedPolicy) {
-	m.Base.SetShed(p)
-	for _, t := range m.ShedBases {
-		t.SetShed(p)
-	}
 }
 
 // PlayerTrace is one client's playback outcome: the trace, the session's
@@ -131,10 +110,10 @@ func (m *SessionManager) Play(sessions []Session) ServeStats {
 // latency is.
 func (m *SessionManager) PlayContext(ctx context.Context, sessions []Session) ServeStats {
 	if m.Shedder != nil {
-		// Allocate the shared policy slots before any session is derived,
+		// Allocate the shared policy slot before any session is derived,
 		// so every player sees subsequent policy flips; and clear any
 		// policy a previous run left installed.
-		m.setShed(nil)
+		m.Base.SetShed(nil)
 	}
 	out := ServeStats{Players: make([]PlayerTrace, len(sessions))}
 	start := time.Now()
@@ -153,14 +132,6 @@ func (m *SessionManager) PlayContext(ctx context.Context, sessions []Session) Se
 				Render:      m.Render,
 				FrameBudget: m.FrameBudget,
 			}
-			ioStats := func() storage.Stats { return tree.IO.Stats() }
-			if m.Routes != nil {
-				route, stats := m.Routes()
-				p.Route = route
-				if stats != nil {
-					ioStats = stats
-				}
-			}
 			if m.Admission != nil {
 				client := fmt.Sprintf("client-%d", i)
 				p.Gate = func(qctx context.Context) (func(), error) {
@@ -170,12 +141,12 @@ func (m *SessionManager) PlayContext(ctx context.Context, sessions []Session) Se
 			if m.Shedder != nil {
 				p.Observe = func(simTime time.Duration) {
 					if policy, changed := m.Shedder.Observe(simTime); changed {
-						m.setShed(policy)
+						m.Base.SetShed(policy)
 					}
 				}
 			}
 			res, err := p.PlayContext(ctx, sessions[i])
-			out.Players[i] = PlayerTrace{Result: res, IO: ioStats(), Err: err}
+			out.Players[i] = PlayerTrace{Result: res, IO: tree.IO.Stats(), Err: err}
 		}(i)
 	}
 	wg.Wait()
@@ -191,8 +162,8 @@ func (m *SessionManager) PlayContext(ctx context.Context, sessions []Session) Se
 	}
 	if m.Shedder != nil {
 		out.Shed = m.Shedder.Transitions()
-		// Leave the trees unshedded for whatever runs next.
-		m.setShed(nil)
+		// Leave the tree unshedded for whatever runs next.
+		m.Base.SetShed(nil)
 	}
 	return out
 }

@@ -201,24 +201,6 @@ type VisualPlayer struct {
 	// Observe, when set, receives each demand query's simulated time —
 	// the shedder's pressure signal.
 	Observe func(simTime time.Duration)
-	// Route, when set, resolves the tree session serving each cell (the
-	// sharded serve path wires the shard router's per-cell routing here;
-	// nil, or a nil return, serves the cell from Tree). The demand query,
-	// payload fetch, scheme-cursor restore and async page warms all
-	// follow the routed tree, so a walk crossing a shard boundary hands
-	// off between stores mid-session; answers are byte-identical either
-	// way.
-	Route func(cells.CellID) *core.Tree
-}
-
-// treeFor resolves the tree session serving cell c.
-func (p *VisualPlayer) treeFor(c cells.CellID) *core.Tree {
-	if p.Route != nil {
-		if t := p.Route(c); t != nil {
-			return t
-		}
-	}
-	return p.Tree
 }
 
 // Play runs the session unbounded; see PlayContext.
@@ -236,27 +218,27 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 	cur := cells.NoCell
 	prefetched := cells.NoCell
 	var resident *core.QueryResult
-	residentTree := p.Tree // the tree that produced resident, for Recycle
 	var prevEye geom.Vec3
 	haveVel := false
-	// Async prefetch state: the motion predictor, the background workers
-	// (one per distinct disk the routing touches — a single one when
-	// unrouted), and the set of cells already handed to them (cleared per
-	// cell entry so a revisited cell can be warmed again later).
+	// Async prefetch state: the motion predictor, the background worker,
+	// and the set of cells already handed to it (cleared per cell entry so
+	// a revisited cell can be warmed again later in the walk).
 	var pred Predictor
-	var pfs *prefetchSet
+	var pf *storage.Prefetcher
 	var lastPF storage.Stats
 	var enqueued map[cells.CellID]bool
+	var pager core.CellPager
 	if p.AsyncPrefetch {
-		if _, ok := p.Tree.VStoreScheme().(core.CellPager); ok {
-			pfs = newPrefetchSet()
-			defer pfs.close()
+		if cp, ok := p.Tree.VStoreScheme().(core.CellPager); ok {
+			pager = cp
+			pf = storage.NewPrefetcher(p.Tree.Disk, 0)
+			defer pf.Close()
 			// On an aborted playback the queued warms are for cells nobody
-			// will visit: cancel them so close does not pay for them. (Runs
-			// before the deferred close — defers are LIFO.)
+			// will visit: cancel them so Close does not pay for them. (Runs
+			// before the deferred Close — defers are LIFO.)
 			defer func() {
 				if ctx.Err() != nil {
-					pfs.cancelPending()
+					pf.CancelPending()
 				}
 			}()
 			enqueued = make(map[cells.CellID]bool)
@@ -270,12 +252,12 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 		pred.Observe(pose.Eye)
 		cell := p.Tree.Grid.Locate(pose.Eye)
 		if cell != cells.NoCell && cell != cur {
-			if pfs != nil {
+			if pf != nil {
 				// Let queued warms land before the demand query: the frames
 				// since they were enqueued represent far more simulated time
 				// than the warms cost, so the worker would have finished long
 				// ago on a real clock.
-				pfs.quiesce()
+				pf.Quiesce()
 			}
 			fctx, fcancel := ctx, context.CancelFunc(func() {})
 			if p.FrameBudget > 0 {
@@ -305,26 +287,25 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 				}
 			}
 			if admit {
-				qt := p.treeFor(cell)
-				before := treeStats(qt)
-				res, err := p.queryCell(fctx, qt, cell)
+				before := treeStats(p.Tree)
+				res, err := p.queryCell(fctx, cell)
 				var fetched int
 				if err == nil {
 					var skip func(core.ResultItem) bool
 					if p.Delta {
 						skip = func(it core.ResultItem) bool { return cache.Covers(KeyOf(it), it.Level) }
 					}
-					fetched, err = qt.FetchPayloadsContext(fctx, res, skip)
+					fetched, err = p.Tree.FetchPayloadsContext(fctx, res, skip)
 					if err != nil {
-						qt.Recycle(res)
+						p.Tree.Recycle(res)
 					}
 				}
 				release()
 				if err == nil {
 					for _, it := range res.Items {
-						cache.Add(KeyOf(it), it.Level, it.Extent.NominalBytes, itemCenter(qt, it), pose.Eye)
+						cache.Add(KeyOf(it), it.Level, it.Extent.NominalBytes, itemCenter(p.Tree, it), pose.Eye)
 					}
-					d := treeStats(qt).Sub(before)
+					d := treeStats(p.Tree).Sub(before)
 					fs.QueryTime = d.SimTime
 					fs.LightIO = d.LightReads
 					fs.HeavyIO = d.HeavyReads
@@ -336,9 +317,8 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 					if p.Observe != nil {
 						p.Observe(d.SimTime)
 					}
-					residentTree.Recycle(resident)
+					p.Tree.Recycle(resident)
 					resident = res
-					residentTree = qt
 					cur = cell
 					delete(enqueued, cell) // demand-entered: re-warmable later
 				} else if fctx.Err() != nil && ctx.Err() == nil {
@@ -346,7 +326,7 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 					// keep the previous geometry, retry next frame. The
 					// partial traversal's I/O still happened — charge it.
 					out.BudgetMisses++
-					d := treeStats(qt).Sub(before)
+					d := treeStats(p.Tree).Sub(before)
 					fs.QueryTime = d.SimTime
 					fs.LightIO = d.LightReads
 					fs.HeavyIO = d.HeavyReads
@@ -361,21 +341,15 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 		// Background warm-up of the cells the motion predictor expects
 		// next. The enqueued closure captures only the pager and a cell ID
 		// — never query state — and a full queue drops predictions rather
-		// than stalling the frame. Warms go to the predicted cell's own
-		// store, so a routed walk pre-warms the shard it is about to enter.
-		if pfs != nil && cur != cells.NoCell {
+		// than stalling the frame.
+		if pf != nil && cur != cells.NoCell {
 			for _, next := range pred.Predict(p.Tree.Grid, pose.Eye, 2) {
 				if next == cur || enqueued[next] {
 					continue
 				}
-				nt := p.treeFor(next)
-				cp, ok := nt.VStoreScheme().(core.CellPager)
-				if !ok {
-					continue
-				}
 				target := next
-				if pfs.get(nt.Disk).Enqueue(func(r storage.Reader) ([]storage.PageID, error) {
-					return cp.CellPages(r, target)
+				if pf.Enqueue(func(r storage.Reader) ([]storage.PageID, error) {
+					return pager.CellPages(r, target)
 				}) {
 					enqueued[next] = true
 				}
@@ -390,38 +364,33 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 				ahead := pose.Eye.Add(vel.Normalize().Mul(lookahead))
 				next := p.Tree.Grid.Locate(ahead)
 				if next != cells.NoCell && next != cur && next != prefetched {
-					pt := p.treeFor(next)
-					before := treeStats(pt)
-					res, err := pt.Query(next, p.Eta)
+					before := treeStats(p.Tree)
+					res, err := p.Tree.Query(next, p.Eta)
 					if err != nil {
 						return nil, err
 					}
 					skip := func(it core.ResultItem) bool { return cache.Covers(KeyOf(it), it.Level) }
-					if _, err := pt.FetchPayloads(res, skip); err != nil {
+					if _, err := p.Tree.FetchPayloads(res, skip); err != nil {
 						return nil, err
 					}
 					for _, it := range res.Items {
-						cache.Add(KeyOf(it), it.Level, it.Extent.NominalBytes, itemCenter(pt, it), pose.Eye)
+						cache.Add(KeyOf(it), it.Level, it.Extent.NominalBytes, itemCenter(p.Tree, it), pose.Eye)
 					}
 					fs.Degradations += len(res.Degradations)
 					// Restore the scheme's current-cell segment; the
 					// flip-back page is charged to prefetch too. A media
 					// fault here is absorbed in fault-tolerant mode: the
 					// scheme keeps its previous cell and the next real
-					// query re-flips. A routed prefetch into a foreign
-					// shard skips the restore: the current cell's store
-					// never moved its cursor.
-					if p.treeFor(cur) == pt {
-						if err := pt.VStoreScheme().SetCell(cur); err != nil {
-							if !pt.FaultTolerant || !errors.Is(err, storage.ErrCorrupt) {
-								return nil, err
-							}
-							fs.Degradations++
+					// query re-flips.
+					if err := p.Tree.VStoreScheme().SetCell(cur); err != nil {
+						if !p.Tree.FaultTolerant || !errors.Is(err, storage.ErrCorrupt) {
+							return nil, err
 						}
+						fs.Degradations++
 					}
-					fs.PrefetchIO = treeStats(pt).Sub(before).Reads
+					fs.PrefetchIO = treeStats(p.Tree).Sub(before).Reads
 					prefetched = next
-					pt.Recycle(res)
+					p.Tree.Recycle(res)
 				}
 			}
 		}
@@ -430,12 +399,12 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 		if resident != nil {
 			fs.Polygons = resident.Stats.TotalPolygons
 		}
-		if pfs != nil {
-			// Attribute the workers' I/O since the last frame to this one.
-			// The workers are asynchronous, so the per-frame split is
-			// approximate; the playback total matches the prefetchers'
-			// clients exactly.
-			now := pfs.stats()
+		if pf != nil {
+			// Attribute the worker's I/O since the last frame to this one.
+			// The worker is asynchronous, so the per-frame split is
+			// approximate; the playback total matches the prefetcher's
+			// client exactly.
+			now := pf.Stats()
 			fs.PrefetchIO += now.Sub(lastPF).Reads
 			lastPF = now
 		}
@@ -448,69 +417,18 @@ func (p *VisualPlayer) PlayContext(ctx context.Context, s Session) (*Result, err
 		}
 		out.Frames = append(out.Frames, fs)
 	}
-	residentTree.Recycle(resident)
+	p.Tree.Recycle(resident)
 	out.PeakBytes = cache.PeakBytes()
 	return out, nil
 }
 
-// queryCell issues the frame's cell-entry query against the routed tree,
-// via the incremental cut when Coherent is set (each routed tree keeps
-// its own cut, so boundary crossings stay warm on both sides).
-func (p *VisualPlayer) queryCell(ctx context.Context, t *core.Tree, cell cells.CellID) (*core.QueryResult, error) {
+// queryCell issues the frame's cell-entry query, via the incremental cut
+// when Coherent is set.
+func (p *VisualPlayer) queryCell(ctx context.Context, cell cells.CellID) (*core.QueryResult, error) {
 	if p.Coherent {
-		return t.QueryCoherentContext(ctx, cell, p.Eta)
+		return p.Tree.QueryCoherentContext(ctx, cell, p.Eta)
 	}
-	return t.QueryContext(ctx, cell, p.Eta)
-}
-
-// prefetchSet lazily manages one background Prefetcher per distinct disk
-// a routed playback touches (exactly one when unrouted).
-type prefetchSet struct {
-	list   []*storage.Prefetcher
-	byDisk map[*storage.Disk]*storage.Prefetcher
-}
-
-func newPrefetchSet() *prefetchSet {
-	return &prefetchSet{byDisk: make(map[*storage.Disk]*storage.Prefetcher)}
-}
-
-// get returns (starting if needed) the prefetcher warming disk d.
-func (ps *prefetchSet) get(d *storage.Disk) *storage.Prefetcher {
-	if pf, ok := ps.byDisk[d]; ok {
-		return pf
-	}
-	pf := storage.NewPrefetcher(d, 0)
-	ps.byDisk[d] = pf
-	ps.list = append(ps.list, pf)
-	return pf
-}
-
-func (ps *prefetchSet) quiesce() {
-	for _, pf := range ps.list {
-		pf.Quiesce()
-	}
-}
-
-func (ps *prefetchSet) cancelPending() {
-	for _, pf := range ps.list {
-		pf.CancelPending()
-	}
-}
-
-func (ps *prefetchSet) close() {
-	for _, pf := range ps.list {
-		pf.Close()
-	}
-}
-
-// stats sums the workers' accounting (monotonic, so frame deltas via
-// Sub stay correct).
-func (ps *prefetchSet) stats() storage.Stats {
-	var out storage.Stats
-	for _, pf := range ps.list {
-		out = out.Add(pf.Stats())
-	}
-	return out
+	return p.Tree.QueryContext(ctx, cell, p.Eta)
 }
 
 // isOverloaded reports whether err is an explicit admission rejection —

@@ -131,7 +131,8 @@ func wrapResult(r *core.QueryResult) *Result {
 // internal LoD. Light I/O (node records, V-pages, cell flip) is charged;
 // call Fetch to charge payload retrieval.
 func (db *DB) Query(p Point, eta float64) (*Result, error) {
-	cell := db.tree.Grid.Locate(p.vec())
+	t, _ := db.snapshot()
+	cell := t.Grid.Locate(p.vec())
 	if cell == cells.NoCell {
 		return nil, ErrOutsideCells
 	}
@@ -140,10 +141,11 @@ func (db *DB) Query(p Point, eta float64) (*Result, error) {
 
 // QueryCell is Query for an explicit cell index.
 func (db *DB) QueryCell(cell int, eta float64) (*Result, error) {
-	if cell < 0 || cell >= db.NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, db.NumCells())
+	t, _ := db.snapshot()
+	if cell < 0 || cell >= t.Grid.NumCells() {
+		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, t.Grid.NumCells())
 	}
-	r, err := db.tree.Query(cells.CellID(cell), eta)
+	r, err := t.Query(cells.CellID(cell), eta)
 	if err != nil {
 		return nil, err
 	}
@@ -152,11 +154,14 @@ func (db *DB) QueryCell(cell int, eta float64) (*Result, error) {
 
 // QueryNaive answers with the (cell, list-of-objects) baseline of §5.3.
 func (db *DB) QueryNaive(p Point) (*Result, error) {
-	cell := db.tree.Grid.Locate(p.vec())
+	db.mu.RLock()
+	t, nv := db.tree, db.naive
+	db.mu.RUnlock()
+	cell := t.Grid.Locate(p.vec())
 	if cell == cells.NoCell {
 		return nil, ErrOutsideCells
 	}
-	r, err := db.naive.Query(cell)
+	r, err := nv.Query(cell)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +173,8 @@ func (db *DB) QueryNaive(p Point) (*Result, error) {
 // mode an unreadable payload degrades the item to a coarser readable
 // level (recorded in Degradations) instead of failing the call.
 func (db *DB) Fetch(r *Result) error {
-	return fetchOn(db.tree, r)
+	t, _ := db.snapshot()
+	return fetchOn(t, r)
 }
 
 // Mesh is decoded triangle geometry.
@@ -180,18 +186,19 @@ type Mesh struct {
 // LoadMesh decodes the actual geometry of a result item (charging heavy
 // I/O), for rendering or export.
 func (db *DB) LoadMesh(it Item) (*Mesh, error) {
+	t, _ := db.snapshot()
 	var inner core.ResultItem
 	found := false
 	// Relocate the payload extent from the item identity.
 	if it.ObjectID >= 0 {
-		exts := db.tree.ObjExtents[it.ObjectID]
+		exts := t.ObjExtents[it.ObjectID]
 		if it.Level < 0 || it.Level >= len(exts) {
 			return nil, fmt.Errorf("hdov: level %d out of range", it.Level)
 		}
 		inner = core.ResultItem{ObjectID: it.ObjectID, NodeID: core.NilNode, Level: it.Level, Extent: exts[it.Level]}
 		found = true
-	} else if int(it.NodeID) >= 0 && int(it.NodeID) < db.tree.NumNodes() {
-		n := db.tree.Nodes[it.NodeID]
+	} else if int(it.NodeID) >= 0 && int(it.NodeID) < t.NumNodes() {
+		n := t.Nodes[it.NodeID]
 		if it.Level < 0 || it.Level >= len(n.InternalExtents) {
 			return nil, fmt.Errorf("hdov: level %d out of range", it.Level)
 		}
@@ -201,7 +208,7 @@ func (db *DB) LoadMesh(it Item) (*Mesh, error) {
 	if !found {
 		return nil, fmt.Errorf("hdov: item identifies neither object nor node")
 	}
-	m, err := db.tree.LoadMesh(inner)
+	m, err := t.LoadMesh(inner)
 	if err != nil {
 		return nil, err
 	}
@@ -237,8 +244,9 @@ type Fidelity struct {
 // at viewpoint p. Computing ground truth casts DoVRays rays, so this is an
 // analysis call, not a per-frame one.
 func (db *DB) Fidelity(p Point, r *Result) Fidelity {
+	t, _ := db.snapshot()
 	truth := db.fidelityTruth(p)
-	f := render.Evaluate(db.tree, r.inner.Items, truth)
+	f := render.Evaluate(t, r.inner.Items, truth)
 	return Fidelity{
 		VisibleObjects: f.VisibleObjects,
 		CoveredObjects: f.CoveredObjects,
@@ -279,28 +287,10 @@ type DiskStats struct {
 }
 
 // DiskStats returns the cumulative disk accounting, summed over every
-// session (Session.Stats reports one session's own share). On a sharded
-// database the sum spans the single-store disk plus every shard primary
-// and replica, so no store's traffic is dropped from the aggregate;
-// ShardDiskStats gives the per-shard breakdown.
+// session (Session.Stats reports one session's own share).
 func (db *DB) DiskStats() DiskStats {
-	sum := db.disk.Stats()
-	if r := db.currentRouter(); r != nil {
-		for _, s := range r.ShardStats() {
-			sum = sum.Add(s)
-		}
-		for _, s := range r.ReplicaStats() {
-			sum = sum.Add(s)
-		}
-	}
-	return diskStatsFrom(sum)
+	return diskStatsFrom(db.disk.Stats())
 }
 
-// ResetDiskStats zeroes the cumulative counters, including every shard
-// store's when sharding is enabled.
-func (db *DB) ResetDiskStats() {
-	db.disk.ResetStats()
-	if r := db.currentRouter(); r != nil {
-		r.ResetStats()
-	}
-}
+// ResetDiskStats zeroes the cumulative counters.
+func (db *DB) ResetDiskStats() { db.disk.ResetStats() }

@@ -3,13 +3,15 @@ package hdov
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cells"
 	"repro/internal/core"
 	"repro/internal/overload"
 	"repro/internal/render"
-	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/walkthrough"
 )
@@ -30,29 +32,14 @@ import (
 // later epochs (the update path only ever appends to the disk, so the
 // pinned tree's pages stay valid forever). Create a fresh Session to see
 // the newest epoch.
-//
-// On a sharded database (EnableSharding) a session additionally pins the
-// shard topology current at creation and routes every query to its
-// owning shard store; answers are byte-identical either way.
 type Session struct {
 	tree *core.Tree
-	// sh, when non-nil, routes queries across shard stores; tree is nil.
-	sh *shard.Session
-}
-
-// grid returns the session's viewing-cell grid (identical on every
-// shard, so routing does not matter here).
-func (s *Session) grid() *cells.Grid {
-	if s.sh != nil {
-		return s.sh.Grid()
-	}
-	return s.tree.Grid
 }
 
 // Query answers the visibility query at viewpoint p with DoV threshold
 // eta, like DB.Query, charged to this session alone.
 func (s *Session) Query(p Point, eta float64) (*Result, error) {
-	cell := s.grid().Locate(p.vec())
+	cell := s.tree.Grid.Locate(p.vec())
 	if cell == cells.NoCell {
 		return nil, ErrOutsideCells
 	}
@@ -61,20 +48,64 @@ func (s *Session) Query(p Point, eta float64) (*Result, error) {
 
 // QueryCell is Query for an explicit cell index.
 func (s *Session) QueryCell(cell int, eta float64) (*Result, error) {
-	if cell < 0 || cell >= s.grid().NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, s.grid().NumCells())
+	if cell < 0 || cell >= s.tree.Grid.NumCells() {
+		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, s.tree.Grid.NumCells())
 	}
-	var r *core.QueryResult
-	var err error
-	if s.sh != nil {
-		r, err = s.sh.QueryCell(cells.CellID(cell), eta)
-	} else {
-		r, err = s.tree.Query(cells.CellID(cell), eta)
-	}
+	r, err := s.tree.Query(cells.CellID(cell), eta)
 	if err != nil {
 		return nil, err
 	}
 	return wrapResult(r), nil
+}
+
+// QueryMany answers one QueryCell per entry of cellIDs, fanned out over
+// min(GOMAXPROCS, len(cellIDs)) worker sessions of this session's pinned
+// epoch. Results come back in input order, byte-identical to a serial
+// QueryCell loop, and the workers' I/O is charged to this session's
+// Stats. Out-of-range cells are rejected before any query runs.
+func (s *Session) QueryMany(cellIDs []int, eta float64) ([]*Result, error) {
+	n := s.tree.Grid.NumCells()
+	for _, c := range cellIDs {
+		if c < 0 || c >= n {
+			return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", c, n)
+		}
+	}
+	out := make([]*Result, len(cellIDs))
+	errs := make([]error, len(cellIDs))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(cellIDs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t := s.tree.Session()
+			defer func() { s.tree.IO.Absorb(t.IO.Stats()) }()
+			// Cells are claimed in input order, so when a query fails
+			// every earlier cell has been claimed and still completes:
+			// the first error in input order is the serial loop's.
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(cellIDs) {
+					return
+				}
+				r, err := t.Query(cells.CellID(cellIDs[i]), eta)
+				if err != nil {
+					errs[i] = err
+					failed.Store(true)
+					return
+				}
+				out[i] = wrapResult(r)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // QueryCoherent answers like Query but through the session's retained
@@ -86,27 +117,19 @@ func (s *Session) QueryCell(cell int, eta float64) (*Result, error) {
 // full traversal); only the I/O accounting differs. The cut is
 // per-session state, which is why the method lives here and not on DB.
 func (s *Session) QueryCoherent(p Point, eta float64) (*Result, error) {
-	cell := s.grid().Locate(p.vec())
+	cell := s.tree.Grid.Locate(p.vec())
 	if cell == cells.NoCell {
 		return nil, ErrOutsideCells
 	}
 	return s.QueryCellCoherent(int(cell), eta)
 }
 
-// QueryCellCoherent is QueryCoherent for an explicit cell index. On a
-// sharded session each shard keeps its own retained cut, so a walk that
-// crosses a boundary stays warm on both sides.
+// QueryCellCoherent is QueryCoherent for an explicit cell index.
 func (s *Session) QueryCellCoherent(cell int, eta float64) (*Result, error) {
-	if cell < 0 || cell >= s.grid().NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, s.grid().NumCells())
+	if cell < 0 || cell >= s.tree.Grid.NumCells() {
+		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, s.tree.Grid.NumCells())
 	}
-	var r *core.QueryResult
-	var err error
-	if s.sh != nil {
-		r, err = s.sh.QueryCellCoherent(cells.CellID(cell), eta)
-	} else {
-		r, err = s.tree.QueryCoherent(cells.CellID(cell), eta)
-	}
+	r, err := s.tree.QueryCoherent(cells.CellID(cell), eta)
 	if err != nil {
 		return nil, err
 	}
@@ -125,15 +148,14 @@ type CoherenceStats struct {
 	NodesReused, Expanded, Collapsed int64
 }
 
-// CoherenceStats returns the session's cumulative warm-path accounting
-// (summed across shards on a routed session).
+// CoherenceStats returns the session's cumulative warm-path accounting.
 func (s *Session) CoherenceStats() CoherenceStats {
-	var cs core.CoherenceStats
-	if s.sh != nil {
-		cs = s.sh.CoherenceStats()
-	} else {
-		cs = s.tree.CoherenceStats()
-	}
+	return coherenceStatsFrom(s.tree.CoherenceStats())
+}
+
+// coherenceStatsFrom mirrors a core coherence snapshot into the public
+// type.
+func coherenceStatsFrom(cs core.CoherenceStats) CoherenceStats {
 	return CoherenceStats{
 		Incremental: cs.Incremental, Full: cs.Full,
 		NodesReused: cs.NodesReused, Expanded: cs.Expanded, Collapsed: cs.Collapsed,
@@ -141,56 +163,31 @@ func (s *Session) CoherenceStats() CoherenceStats {
 }
 
 // Fetch charges the heavy-weight I/O of retrieving every item's payload,
-// like DB.Fetch, charged to this session alone. On a sharded session the
-// fetch is routed to the shard that answered the query.
+// like DB.Fetch, charged to this session alone.
 func (s *Session) Fetch(r *Result) error {
-	t, err := s.treeFor(r)
-	if err != nil {
-		return err
-	}
-	return fetchOn(t, r)
-}
-
-// treeFor returns the core session a result's payloads must be fetched
-// through: the owning shard's on a routed session.
-func (s *Session) treeFor(r *Result) (*core.Tree, error) {
-	if s.sh == nil {
-		return s.tree, nil
-	}
-	return s.sh.Tree(r.inner.Cell)
+	return fetchOn(s.tree, r)
 }
 
 // Stats returns the session's own cumulative I/O accounting: only reads
 // this session issued, regardless of how many other sessions share the
-// disk. On a sharded session the counters sum over every shard the
-// session touched (ShardStatsOf gives the per-shard split).
+// disk.
 func (s *Session) Stats() DiskStats {
-	if s.sh != nil {
-		return diskStatsFrom(s.sh.Stats())
-	}
 	return diskStatsFrom(s.tree.IO.Stats())
 }
 
 // ResetStats zeroes the session's counters (global disk counters are
 // untouched).
 func (s *Session) ResetStats() {
-	if s.sh != nil {
-		s.sh.ResetStats()
-		return
-	}
 	s.tree.IO.ResetStats()
 }
 
 // NewSession returns a fresh query session on the database. The session
-// sees the scheme, parallelism settings, scene epoch and shard topology
-// in effect now; SetScheme, SetParallel, Update or EnableSharding calls
-// after creation affect only future sessions.
+// sees the scheme, parallelism settings and scene epoch in effect now;
+// SetScheme, SetParallel or Update calls after creation affect only
+// future sessions.
 func (db *DB) NewSession() *Session {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if db.router != nil {
-		return &Session{sh: db.router.Session()}
-	}
 	return &Session{tree: db.tree.Session()}
 }
 
@@ -198,17 +195,8 @@ func (db *DB) NewSession() *Session {
 // the simulated disk (n <= 0 removes it; the default is none, matching
 // the paper's uncached prototype — §5.4). Cached reads charge no seek or
 // transfer: the cost model bills only pool misses, so a hot working set
-// serves many sessions at memory speed. On a sharded database the
-// budget is split evenly across the shard stores' private pools.
+// serves many sessions at memory speed.
 func (db *DB) SetCacheSize(n int) {
-	if r := db.currentRouter(); r != nil {
-		per := n / r.Shards()
-		if n > 0 && per < 1 {
-			per = 1
-		}
-		r.SetCacheSize(per)
-		return
-	}
 	db.disk.SetCacheSize(n)
 }
 
@@ -225,15 +213,6 @@ type PoolStats struct {
 	Pages, Capacity int
 }
 
-// ShardStatsOf returns this session's own I/O against shard i (zero on
-// an unsharded session or a shard the session never touched).
-func (s *Session) ShardStatsOf(i int) DiskStats {
-	if s.sh == nil {
-		return DiskStats{}
-	}
-	return diskStatsFrom(s.sh.ShardStatsOf(i))
-}
-
 // poolStatsFrom mirrors a storage pool snapshot into the public type.
 func poolStatsFrom(s storage.PoolStats) PoolStats {
 	return PoolStats{
@@ -244,38 +223,18 @@ func poolStatsFrom(s storage.PoolStats) PoolStats {
 	}
 }
 
-// PoolStats returns the current buffer-pool counters. On a sharded
-// database the counters sum over every shard store's private pool
-// (ShardDiskStats gives the per-shard breakdown) — no store's traffic
-// is silently dropped.
+// PoolStats returns the current buffer-pool counters.
 func (db *DB) PoolStats() PoolStats {
-	r := db.currentRouter()
-	if r == nil {
-		return poolStatsFrom(db.disk.PoolStats())
-	}
-	var out PoolStats
-	for _, ps := range r.ShardPoolStats() {
-		out.LightHits += ps.LightHits
-		out.LightMisses += ps.LightMisses
-		out.HeavyHits += ps.HeavyHits
-		out.HeavyMisses += ps.HeavyMisses
-		out.Evictions += ps.Evictions
-		out.Pages += ps.Pages
-		out.Capacity += ps.Capacity
-	}
-	return out
+	return poolStatsFrom(db.disk.PoolStats())
 }
 
 // SetParallel bounds the per-query traversal fan-out: each query descends
 // up to n child subtrees concurrently (n <= 1 restores the strictly
 // serial Figure 3 traversal; the answer set is identical either way).
-// Affects DB queries and sessions created afterwards, on every shard
-// store when sharding is enabled.
+// Affects DB queries and sessions created afterwards.
 func (db *DB) SetParallel(n int) {
-	db.tree.SetParallel(n)
-	if r := db.currentRouter(); r != nil {
-		r.SetParallel(n)
-	}
+	t, _ := db.snapshot()
+	t.SetParallel(n)
 }
 
 // ServeStats summarizes a concurrent multi-client walkthrough run.
@@ -341,37 +300,19 @@ func (db *DB) ServeContext(ctx context.Context, opts WalkOptions, n int) (*Serve
 	if opts.Frames <= 0 {
 		opts.Frames = 600
 	}
+	tree, sc := db.snapshot()
 	sessions := make([]walkthrough.Session, n)
 	for i := range sessions {
-		seed := opts.Seed + int64(i)
-		switch opts.Session {
-		case SessionTurning:
-			sessions[i] = walkthrough.RecordTurning(db.scene, opts.Frames, seed+1)
-		case SessionBackForward:
-			sessions[i] = walkthrough.RecordBackForward(db.scene, opts.Frames, seed+2)
-		default:
-			sessions[i] = walkthrough.RecordNormal(db.scene, opts.Frames, seed)
-		}
+		sessions[i] = recordSession(sc, opts.Session, opts.Frames, opts.Seed+int64(i))
 	}
 	m := &walkthrough.SessionManager{
-		Base:        db.tree,
+		Base:        tree,
 		Eta:         opts.Eta,
 		Delta:       opts.Delta,
 		Prefetch:    opts.Prefetch,
 		CacheBudget: opts.CacheBudget,
 		Render:      render.DefaultConfig(),
 		FrameBudget: opts.FrameBudget,
-	}
-	if r := db.currentRouter(); r != nil {
-		// Sharded serving: each client gets its own routed shard session,
-		// so its frames hit the owning shard's private store and its
-		// accounting sums across the shards it walked through. Shed
-		// policies fan out to every shard store.
-		m.Routes = func() (func(cells.CellID) *core.Tree, func() storage.Stats) {
-			sess := r.Session()
-			return sess.RouteTree, sess.Stats
-		}
-		m.ShedBases = r.Bases()
 	}
 	if opts.Admission != nil {
 		m.Admission = overload.New(overload.Config{

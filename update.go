@@ -158,23 +158,7 @@ func (db *DB) Update(fn func(*Updater)) (*UpdateStats, error) {
 	db.epoch++
 	db.ops = append(db.ops, u.ops...)
 	stats.Epoch = db.epoch
-	sharded := db.router != nil
 	db.mu.Unlock()
-
-	// Re-shard over the new epoch so routed sessions created after this
-	// update see it. Sessions that pinned the old topology are untouched.
-	if sharded {
-		db.mu.RLock()
-		cfg := db.shardCfg
-		db.mu.RUnlock()
-		r, err := db.buildRouter(cfg)
-		if err != nil {
-			return stats, fmt.Errorf("hdov: update: re-shard: %w", err)
-		}
-		db.mu.Lock()
-		db.router = r
-		db.mu.Unlock()
-	}
 	return stats, nil
 }
 

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/render"
 	"repro/internal/review"
-	"repro/internal/shard"
+	"repro/internal/scene"
 	"repro/internal/walkthrough"
 )
 
@@ -131,15 +131,8 @@ func (db *DB) WalkthroughContext(ctx context.Context, opts WalkOptions) (*WalkSt
 	if opts.ReviewBoxDepth <= 0 {
 		opts.ReviewBoxDepth = 400
 	}
-	var s walkthrough.Session
-	switch opts.Session {
-	case SessionTurning:
-		s = walkthrough.RecordTurning(db.scene, opts.Frames, opts.Seed+1)
-	case SessionBackForward:
-		s = walkthrough.RecordBackForward(db.scene, opts.Frames, opts.Seed+2)
-	default:
-		s = walkthrough.RecordNormal(db.scene, opts.Frames, opts.Seed)
-	}
+	base, sc := db.snapshot()
+	s := recordSession(sc, opts.Session, opts.Frames, opts.Seed)
 
 	var res *walkthrough.Result
 	var err error
@@ -148,18 +141,18 @@ func (db *DB) WalkthroughContext(ctx context.Context, opts WalkOptions) (*WalkSt
 		cfg := review.DefaultConfig()
 		cfg.QueryBoxDepth = opts.ReviewBoxDepth
 		p := &walkthrough.ReviewPlayer{
-			Sys:         review.New(db.tree, cfg),
+			Sys:         review.New(base, cfg),
 			Complement:  opts.Delta,
 			CacheBudget: opts.CacheBudget,
 			Render:      render.DefaultConfig(),
 		}
 		res, err = p.PlayContext(ctx, s)
 	} else {
-		tree := db.tree
+		tree := base
 		if opts.Coherent || opts.AsyncPrefetch {
 			// The cut and the result free list are per-session state;
 			// playing on a private session keeps the shared tree clean.
-			tree = db.tree.Session()
+			tree = base.Session()
 		}
 		p := &walkthrough.VisualPlayer{
 			Tree:          tree,
@@ -172,27 +165,9 @@ func (db *DB) WalkthroughContext(ctx context.Context, opts WalkOptions) (*WalkSt
 			Render:        render.DefaultConfig(),
 			FrameBudget:   opts.FrameBudget,
 		}
-		var routed *shard.Session
-		if r := db.currentRouter(); r != nil {
-			// Sharded: each frame's cell-entry query runs on the owning
-			// shard's store; the walk hands off between stores at shard
-			// boundaries. Answers are byte-identical to the unrouted walk.
-			routed = r.Session()
-			p.Route = routed.RouteTree
-		}
 		res, err = p.PlayContext(ctx, s)
-		if err == nil && opts.Coherent && routed != nil {
-			cs := routed.CoherenceStats()
-			coherence = CoherenceStats{
-				Incremental: cs.Incremental, Full: cs.Full,
-				NodesReused: cs.NodesReused, Expanded: cs.Expanded, Collapsed: cs.Collapsed,
-			}
-		} else if err == nil && opts.Coherent {
-			cs := tree.CoherenceStats()
-			coherence = CoherenceStats{
-				Incremental: cs.Incremental, Full: cs.Full,
-				NodesReused: cs.NodesReused, Expanded: cs.Expanded, Collapsed: cs.Collapsed,
-			}
+		if err == nil && opts.Coherent {
+			coherence = coherenceStatsFrom(tree.CoherenceStats())
 		}
 	}
 	if err != nil {
@@ -222,4 +197,17 @@ func (db *DB) WalkthroughContext(ctx context.Context, opts WalkOptions) (*WalkSt
 		out.Retries += f.Retries
 	}
 	return out, nil
+}
+
+// recordSession records a walkthrough path with the requested motion
+// pattern through scene sc.
+func recordSession(sc *scene.Scene, kind SessionKind, frames int, seed int64) walkthrough.Session {
+	switch kind {
+	case SessionTurning:
+		return walkthrough.RecordTurning(sc, frames, seed+1)
+	case SessionBackForward:
+		return walkthrough.RecordBackForward(sc, frames, seed+2)
+	default:
+		return walkthrough.RecordNormal(sc, frames, seed)
+	}
 }
