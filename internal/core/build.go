@@ -527,6 +527,8 @@ func (t *Tree) NodeStride() int { return t.nodeStride }
 
 // ReadNodeRecord fetches and decodes a node record from disk, charging
 // light I/O — the "tree node" component of Figure 8(b).
+//
+// hdov:hot-path
 func (t *Tree) ReadNodeRecord(id NodeID) (*Node, error) {
 	if int(id) < 0 || int(id) >= len(t.Nodes) {
 		return nil, fmt.Errorf("core: node %d out of range", id)

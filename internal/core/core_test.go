@@ -17,7 +17,7 @@ var (
 )
 
 // fixture builds one small city HDoV-tree shared by the package's tests.
-func fixture(t *testing.T) (*Tree, *VisData) {
+func fixture(t testing.TB) (*Tree, *VisData) {
 	t.Helper()
 	fixOnce.Do(func() {
 		p := scene.DefaultCityParams()

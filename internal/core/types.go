@@ -341,7 +341,13 @@ func (n *Node) EncodeRecord() []byte {
 }
 
 // DecodeNodeRecord parses a node record. The returned node has no
-// in-memory InternalLoD; callers needing meshes read the extents.
+// in-memory InternalLoD; callers needing meshes read the extents. All of
+// the node's LoD refs — every entry's and the node's own — share one
+// []Extent and one []int, handed out as capacity-limited sub-slices, so a
+// node costs four allocations whatever its fan-out. buf is only read,
+// never retained.
+//
+// hdov:hot-path
 func DecodeNodeRecord(buf []byte) (*Node, error) {
 	le := binary.LittleEndian
 	if len(buf) < nodeHeaderSize {
@@ -358,23 +364,32 @@ func DecodeNodeRecord(buf []byte) (*Node, error) {
 	}
 	nLoD := int(le.Uint16(buf[10:]))
 	nEnt := int(le.Uint32(buf[16:]))
-	want := nodeHeaderSize + nEnt*entrySize + nLoD*lodRefSize
+	nRefs := nLoD
 	if !n.Leaf {
-		want += nEnt * nLoD * lodRefSize
+		nRefs += nEnt * nLoD
 	}
-	if len(buf) < want {
+	if want := nodeHeaderSize + nEnt*entrySize + nRefs*lodRefSize; len(buf) < want {
 		return nil, fmt.Errorf("core: node record truncated: %d < %d", len(buf), want)
 	}
 	off := nodeHeaderSize
-	getRef := func() (Extent, int) {
-		ex := Extent{
-			Start:        storage.PageID(le.Uint64(buf[off+0:])),
-			NominalBytes: int64(le.Uint64(buf[off+8:])),
-			RealBytes:    int64(le.Uint64(buf[off+16:])),
+	refs := make([]Extent, nRefs)
+	polys := make([]int, nRefs)
+	next := 0
+	// takeRefs decodes the next k refs into the shared arrays and returns
+	// their capacity-limited windows.
+	takeRefs := func(k int) ([]Extent, []int) {
+		r, p := refs[next:next+k:next+k], polys[next:next+k:next+k]
+		for j := range r {
+			r[j] = Extent{
+				Start:        storage.PageID(le.Uint64(buf[off+0:])),
+				NominalBytes: int64(le.Uint64(buf[off+8:])),
+				RealBytes:    int64(le.Uint64(buf[off+16:])),
+			}
+			p[j] = int(le.Uint32(buf[off+24:]))
+			off += lodRefSize
 		}
-		npoly := int(le.Uint32(buf[off+24:]))
-		off += lodRefSize
-		return ex, npoly
+		next += k
+		return r, p
 	}
 	n.Entries = make([]NodeEntry, nEnt)
 	for i := 0; i < nEnt; i++ {
@@ -398,17 +413,9 @@ func DecodeNodeRecord(buf []byte) (*Node, error) {
 		}
 		off += entrySize
 		if !n.Leaf {
-			n.Entries[i].LoDRefs = make([]Extent, nLoD)
-			n.Entries[i].LoDPolys = make([]int, nLoD)
-			for j := 0; j < nLoD; j++ {
-				n.Entries[i].LoDRefs[j], n.Entries[i].LoDPolys[j] = getRef()
-			}
+			n.Entries[i].LoDRefs, n.Entries[i].LoDPolys = takeRefs(nLoD)
 		}
 	}
-	n.InternalExtents = make([]Extent, nLoD)
-	n.InternalPolys = make([]int, nLoD)
-	for i := 0; i < nLoD; i++ {
-		n.InternalExtents[i], n.InternalPolys[i] = getRef()
-	}
+	n.InternalExtents, n.InternalPolys = takeRefs(nLoD)
 	return n, nil
 }

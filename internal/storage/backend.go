@@ -23,6 +23,10 @@ package storage
 //     one is a no-op, so concurrent growers may land out of order.
 //   - The Disk performs all range, quarantine, and fault checks before
 //     touching the media; a Backend only moves bytes.
+//   - ReadPage/ReadPages fill a dst the Disk owns. A page read into a
+//     buffer-pool frame stays there immutable: the Disk's ReadPage and
+//     ReadBytes may hand that shared frame to callers, who must never
+//     mutate it (the buffer contract, DESIGN.md §10).
 //
 // Lock discipline: the Disk's media field is immutable after
 // construction and every Backend call is made outside d.mu and

@@ -5,12 +5,18 @@ package storage
 // attribution on top). Query-path code takes a Reader so one open
 // database can serve many sessions, each charged exactly for its own
 // traffic.
+//
+// Buffer contract: a ReadPage or ReadBytes result may be a buffer-pool
+// frame shared with every other reader of that page. Callers may decode,
+// sub-slice and retain it, but must never write into it.
 type Reader interface {
 	// ReadPage returns the content of one page, charging one page I/O of
-	// the given class (unless served by the buffer pool).
+	// the given class (unless served by the buffer pool). The result may
+	// be a shared pool frame.
 	ReadPage(id PageID, class Class) ([]byte, error)
 	// ReadBytes reads length bytes starting at page start, charged as one
-	// sequential run.
+	// sequential run. A single-page pooled read returns the shared frame
+	// capped at length (cap == len).
 	ReadBytes(start PageID, length int, class Class) ([]byte, error)
 	// ReadExtent charges n sequential page reads without materializing
 	// data.
