@@ -2,10 +2,8 @@ package hdov
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"repro/internal/cells"
 	"repro/internal/overload"
 	"repro/internal/storage"
 )
@@ -101,20 +99,21 @@ func (db *DB) BreakerStats() BreakerStats {
 // byte-identical to Query's.
 func (db *DB) QueryContext(ctx context.Context, p Point, eta float64) (*Result, error) {
 	t, _ := db.snapshot()
-	cell := t.Grid.Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
+	cell, err := locate(t.Grid, p)
+	if err != nil {
+		return nil, err
 	}
-	return db.QueryCellContext(ctx, int(cell), eta)
+	return db.QueryCellContext(ctx, cell, eta)
 }
 
 // QueryCellContext is QueryContext for an explicit cell index.
 func (db *DB) QueryCellContext(ctx context.Context, cell int, eta float64) (*Result, error) {
 	t, _ := db.snapshot()
-	if cell < 0 || cell >= t.Grid.NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, t.Grid.NumCells())
+	c, err := checkCell(t.Grid, cell)
+	if err != nil {
+		return nil, err
 	}
-	r, err := t.QueryContext(ctx, cells.CellID(cell), eta)
+	r, err := t.QueryContext(ctx, c, eta)
 	if err != nil {
 		return nil, err
 	}
@@ -130,19 +129,20 @@ func (db *DB) FetchContext(ctx context.Context, r *Result) error {
 
 // QueryContext is Session.Query bounded by ctx; see DB.QueryContext.
 func (s *Session) QueryContext(ctx context.Context, p Point, eta float64) (*Result, error) {
-	cell := s.tree.Grid.Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
+	cell, err := locate(s.tree.Grid, p)
+	if err != nil {
+		return nil, err
 	}
-	return s.QueryCellContext(ctx, int(cell), eta)
+	return s.QueryCellContext(ctx, cell, eta)
 }
 
 // QueryCellContext is Session.QueryCell bounded by ctx.
 func (s *Session) QueryCellContext(ctx context.Context, cell int, eta float64) (*Result, error) {
-	if cell < 0 || cell >= s.tree.Grid.NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, s.tree.Grid.NumCells())
+	c, err := checkCell(s.tree.Grid, cell)
+	if err != nil {
+		return nil, err
 	}
-	r, err := s.tree.QueryContext(ctx, cells.CellID(cell), eta)
+	r, err := s.tree.QueryContext(ctx, c, eta)
 	if err != nil {
 		return nil, err
 	}
@@ -153,19 +153,20 @@ func (s *Session) QueryCellContext(ctx context.Context, cell int, eta float64) (
 // canceled warm-path query aborts outright — it does not fall back to a
 // second, full traversal the caller no longer wants.
 func (s *Session) QueryCoherentContext(ctx context.Context, p Point, eta float64) (*Result, error) {
-	cell := s.tree.Grid.Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
+	cell, err := locate(s.tree.Grid, p)
+	if err != nil {
+		return nil, err
 	}
-	return s.QueryCellCoherentContext(ctx, int(cell), eta)
+	return s.QueryCellCoherentContext(ctx, cell, eta)
 }
 
 // QueryCellCoherentContext is Session.QueryCellCoherent bounded by ctx.
 func (s *Session) QueryCellCoherentContext(ctx context.Context, cell int, eta float64) (*Result, error) {
-	if cell < 0 || cell >= s.tree.Grid.NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, s.tree.Grid.NumCells())
+	c, err := checkCell(s.tree.Grid, cell)
+	if err != nil {
+		return nil, err
 	}
-	r, err := s.tree.QueryCoherentContext(ctx, cells.CellID(cell), eta)
+	r, err := s.tree.QueryCoherentContext(ctx, c, eta)
 	if err != nil {
 		return nil, err
 	}

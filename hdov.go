@@ -415,6 +415,24 @@ func (db *DB) CellViewpoint(cell int) Point {
 // ErrOutsideCells is returned by Query for viewpoints outside the grid.
 var ErrOutsideCells = errors.New("hdov: viewpoint outside the viewing-cell grid")
 
+// locate resolves viewpoint p to its viewing cell in g, or fails with
+// ErrOutsideCells.
+func locate(g *cells.Grid, p Point) (int, error) {
+	cell := g.Locate(p.vec())
+	if cell == cells.NoCell {
+		return 0, ErrOutsideCells
+	}
+	return int(cell), nil
+}
+
+// checkCell validates a caller's cell index against g.
+func checkCell(g *cells.Grid, cell int) (cells.CellID, error) {
+	if n := g.NumCells(); cell < 0 || cell >= n {
+		return 0, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, n)
+	}
+	return cells.CellID(cell), nil
+}
+
 // FaultPlan configures seeded, deterministic fault injection on the
 // simulated disk — the harness for exercising degraded-mode traversal.
 type FaultPlan struct {

@@ -1,6 +1,8 @@
 package hdov
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -87,6 +89,57 @@ func TestQueryAndFetch(t *testing.T) {
 	}
 	if got := db.CellOf(p); got != res.Cell {
 		t.Fatalf("CellOf = %d, result cell %d", got, res.Cell)
+	}
+}
+
+// TestQueryRejectsBadArguments: every public point-taking query method
+// fails a viewpoint outside the grid with ErrOutsideCells, and every
+// cell-taking one fails cells -1 and NumCells() with the range error.
+func TestQueryRejectsBadArguments(t *testing.T) {
+	db := testDB(t)
+	s := db.NewSession()
+	ctx := context.Background()
+	const eta = 0.001
+	pointMethods := []struct {
+		name  string
+		query func(Point) (*Result, error)
+	}{
+		{"DB.Query", func(p Point) (*Result, error) { return db.Query(p, eta) }},
+		{"DB.QueryContext", func(p Point) (*Result, error) { return db.QueryContext(ctx, p, eta) }},
+		{"DB.QueryNaive", db.QueryNaive},
+		{"Session.Query", func(p Point) (*Result, error) { return s.Query(p, eta) }},
+		{"Session.QueryContext", func(p Point) (*Result, error) { return s.QueryContext(ctx, p, eta) }},
+		{"Session.QueryCoherent", func(p Point) (*Result, error) { return s.QueryCoherent(p, eta) }},
+		{"Session.QueryCoherentContext", func(p Point) (*Result, error) { return s.QueryCoherentContext(ctx, p, eta) }},
+	}
+	for _, m := range pointMethods {
+		if _, err := m.query(Pt(-1000, 0, 0)); err != ErrOutsideCells {
+			t.Errorf("%s(outside point): err = %v, want ErrOutsideCells", m.name, err)
+		}
+	}
+	cellMethods := []struct {
+		name  string
+		query func(int) error
+	}{
+		{"DB.QueryCell", func(c int) error { _, err := db.QueryCell(c, eta); return err }},
+		{"DB.QueryCellContext", func(c int) error { _, err := db.QueryCellContext(ctx, c, eta); return err }},
+		{"Session.QueryCell", func(c int) error { _, err := s.QueryCell(c, eta); return err }},
+		{"Session.QueryCellContext", func(c int) error { _, err := s.QueryCellContext(ctx, c, eta); return err }},
+		{"Session.QueryCellCoherent", func(c int) error { _, err := s.QueryCellCoherent(c, eta); return err }},
+		{"Session.QueryCellCoherentContext", func(c int) error {
+			_, err := s.QueryCellCoherentContext(ctx, c, eta)
+			return err
+		}},
+		{"Session.QueryMany", func(c int) error { _, err := s.QueryMany([]int{0, c}, eta); return err }},
+	}
+	n := db.NumCells()
+	for _, m := range cellMethods {
+		for _, c := range []int{-1, n} {
+			want := fmt.Sprintf("hdov: cell %d out of range [0,%d)", c, n)
+			if err := m.query(c); err == nil || err.Error() != want {
+				t.Errorf("%s(%d): err = %v, want %q", m.name, c, err, want)
+			}
+		}
 	}
 }
 

@@ -44,6 +44,43 @@ func fixture(t testing.TB) (*Tree, *VisData) {
 	return fixTree, fixVis
 }
 
+var (
+	deepOnce sync.Once
+	deepTree *Tree
+)
+
+// deepFixture is the fixture's city built with R-tree fan-out 2–3, so the
+// tree has internal levels below the root's children; it answers from an
+// in-memory V-page store.
+func deepFixture(t testing.TB) *Tree {
+	t.Helper()
+	deepOnce.Do(func() {
+		p := scene.DefaultCityParams()
+		p.BlocksX, p.BlocksY = 2, 2
+		p.BuildingsPerBlock = 4
+		p.BlobsPerBlock = 2
+		p.BlobDetail = 8
+		p.NominalBytes = 32 << 20
+		sc := scene.Generate(p)
+		d := storage.NewDisk(0, storage.DefaultCostModel())
+		bp := DefaultBuildParams()
+		bp.FanoutMin, bp.FanoutMax = 2, 3
+		bp.Grid = cells.NewGrid(sc.ViewRegion, 4, 4)
+		bp.DirsPerViewpoint = 512
+		bp.SamplesPerCell = 1
+		tr, vis, err := Build(sc, d, bp)
+		if err != nil {
+			panic(err)
+		}
+		tr.SetVStore(&memVStore{vis: vis})
+		deepTree = tr
+	})
+	if deepTree == nil {
+		t.Fatal("deep fixture failed")
+	}
+	return deepTree
+}
+
 func TestBuildStructure(t *testing.T) {
 	tr, _ := fixture(t)
 	if tr.NumNodes() < 3 {

@@ -12,7 +12,8 @@ import (
 
 // Deadline, cancellation, and fidelity-aware shedding (DESIGN.md §14).
 //
-// Every query entry point has a Context-taking form; the plain forms are
+// Every query entry point but QueryPrioritized (the D5 extension, which
+// runs unbounded) has a Context-taking form; the plain forms are
 // thin wrappers over an unbounded background context, so the ~hundred
 // existing call sites (and the paper-faithful experiments, which have no
 // notion of time) keep their exact behavior. A context flows two ways:
@@ -81,11 +82,13 @@ func (t *Tree) Shed() *ShedPolicy {
 	return t.shed.p.Load()
 }
 
-// travCtx carries the per-query control state — the caller's context and
-// the shed policy snapshot — through the traversal recursion.
+// travCtx carries the per-query control state — the caller's context,
+// the shed policy snapshot, and the prioritized visit order's frustum
+// (nil: index order) — through the traversal recursion.
 type travCtx struct {
-	ctx  context.Context
-	shed *ShedPolicy
+	ctx   context.Context
+	shed  *ShedPolicy
+	front *geom.Frustum
 }
 
 // err is the cooperative cancellation checkpoint, polled at every node
@@ -147,11 +150,6 @@ func (t *Tree) Query(cell cells.CellID, eta float64) (*QueryResult, error) {
 // QueryCoherent is the unbounded form of QueryCoherentContext.
 func (t *Tree) QueryCoherent(cell cells.CellID, eta float64) (*QueryResult, error) {
 	return t.QueryCoherentContext(bgContext, cell, eta)
-}
-
-// QueryPrioritized is the unbounded form of QueryPrioritizedContext.
-func (t *Tree) QueryPrioritized(cell cells.CellID, eta float64, f geom.Frustum) (*QueryResult, error) {
-	return t.QueryPrioritizedContext(bgContext, cell, eta, f)
 }
 
 // FetchPayloads is the unbounded form of FetchPayloadsContext.

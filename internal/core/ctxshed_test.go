@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/cells"
+	"repro/internal/geom"
 )
 
 // cleanShed uninstalls any load-shedding policy after a test: the
@@ -144,6 +148,7 @@ func TestShedEtaFactor(t *testing.T) {
 			t.Fatalf("cell %d: %d query-level shed marks, want 1", cell, marks)
 		}
 	}
+	assertShedModesAgree(t, tr, eta)
 
 	// Removing the policy restores the exact baseline.
 	tr.SetShed(nil)
@@ -192,6 +197,88 @@ func TestShedMaxDepth(t *testing.T) {
 	if truncated == 0 || truncated != len(res.Items) {
 		t.Fatalf("%d truncation records for %d items — shedding went silent", truncated, len(res.Items))
 	}
+	assertShedModesAgree(t, tr, 0)
+}
+
+// TestShedMaxDepthDeep runs the depth limit below the root as well, on a
+// tree deep enough that truncating nodes sit under descended ones: the
+// shed records of sibling sub-results must merge in visit order.
+func TestShedMaxDepthDeep(t *testing.T) {
+	tr := deepFixture(t)
+	cleanShed(t, tr)
+	for _, depth := range []int{1, 2} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			tr.SetShed(&ShedPolicy{MaxDepth: depth})
+			assertShedModesAgree(t, tr, 0)
+		})
+	}
+}
+
+// shedModes are the traversal modes that must answer a shed query as the
+// serial traversal does. Prioritized traversal visits entries in another
+// order, so its items and degradations are compared as multisets.
+var shedModes = []struct {
+	name     string
+	parallel int
+	ordered  bool
+	query    func(s *Tree, cell cells.CellID, eta float64) (*QueryResult, error)
+}{
+	{"parallel", 4, true, func(s *Tree, cell cells.CellID, eta float64) (*QueryResult, error) {
+		return s.Query(cell, eta)
+	}},
+	{"coherent", 1, true, func(s *Tree, cell cells.CellID, eta float64) (*QueryResult, error) {
+		return s.QueryCoherent(cell, eta)
+	}},
+	{"prioritized", 1, false, func(s *Tree, cell cells.CellID, eta float64) (*QueryResult, error) {
+		f := geom.NewFrustum(s.Grid.Center(cell), geom.V(1, 0.3, 0), geom.V(0, 0, 1), math.Pi/3, 4.0/3, 0.5, 1000)
+		return s.QueryPrioritized(cell, eta, f)
+	}},
+}
+
+// assertShedModesAgree answers every cell at eta under tr's installed
+// shed policy, serially and in each shedModes mode on a fresh session,
+// and requires the same items and degradations. It also requires the
+// policy to have degraded at least one answer.
+func assertShedModesAgree(t *testing.T, tr *Tree, eta float64) {
+	t.Helper()
+	shed := 0
+	for _, m := range shedModes {
+		s := tr.Session()
+		s.SetParallel(m.parallel)
+		for c := 0; c < tr.Grid.NumCells(); c++ {
+			cell := cells.CellID(c)
+			want, err := tr.Query(cell, eta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shed += len(want.Degradations)
+			got, err := m.query(s, cell, eta)
+			if err != nil {
+				t.Fatalf("%s cell %d: %v", m.name, cell, err)
+			}
+			if a, b := printed(got.Items, m.ordered), printed(want.Items, m.ordered); a != b {
+				t.Fatalf("%s cell %d: items differ from serial:\n%s\nvs\n%s", m.name, cell, a, b)
+			}
+			if a, b := printed(got.Degradations, m.ordered), printed(want.Degradations, m.ordered); a != b {
+				t.Fatalf("%s cell %d: degradations differ from serial:\n%s\nvs\n%s", m.name, cell, a, b)
+			}
+		}
+	}
+	if shed == 0 {
+		t.Fatal("the shed policy degraded no answer")
+	}
+}
+
+// printed renders xs one element a line, in order or sorted.
+func printed[T any](xs []T, ordered bool) string {
+	lines := make([]string, len(xs))
+	for i, x := range xs {
+		lines[i] = fmt.Sprintf("%+v", x)
+	}
+	if !ordered {
+		sort.Strings(lines)
+	}
+	return fmt.Sprint(lines)
 }
 
 // TestShedSharedWithSessions: the policy slot installed before sessions

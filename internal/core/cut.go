@@ -120,15 +120,7 @@ func (t *Tree) QueryCoherentContext(ctx context.Context, cell cells.CellID, eta 
 		return t.QueryContext(ctx, cell, eta)
 	}
 	cs.stats.Incremental++
-	d := t.statsNow().Sub(before)
-	res.Stats.LightIO = d.LightReads
-	res.Stats.HeavyIO = d.HeavyReads
-	res.Stats.Retries = d.Retries
-	res.Stats.SimTime = d.SimTime
-	for _, it := range res.Items {
-		res.Stats.TotalPolygons += it.Polygons
-		res.Stats.TotalBytes += it.Extent.NominalBytes
-	}
+	t.finish(res, before)
 	return res, nil
 }
 
@@ -195,9 +187,9 @@ func (cn *cutNode) child(id NodeID) *cutNode {
 }
 
 // searchCut is searchNode re-rooted on the retained cut: the same Figure 3
-// decisions in the same entry order — so the same Items — but node records
-// come from the cut where retained, and the cut is rewritten in place to
-// the new traversal's shape. Always serial: the cut structure is the
+// decisions (decide) in the same entry order — so the same Items — but
+// node records come from the cut where retained, and the cut is rewritten
+// in place to the new traversal's shape. Always serial: the cut structure is the
 // shared mutable state a fan-out would have to lock, and the records it
 // saves are exactly the reads parallelism would have overlapped. No fault
 // absorption here — any error aborts to the caller's full-query fallback.
@@ -224,50 +216,14 @@ func (t *Tree) searchCut(tc travCtx, cn *cutNode, eta float64, res *QueryResult)
 		return fmt.Errorf("core: node %d has %d entries but V-page has %d", cn.id, len(node.Entries), len(vd))
 	}
 	var keep []*cutNode
-	for ei, e := range node.Entries {
-		v := vd[ei]
-		if v.DoV <= 0 {
-			res.Stats.BranchesCut++
+	for ei := range node.Entries {
+		e := &node.Entries[ei]
+		// The cut never truncates: QueryCoherentContext hands an active
+		// shed policy to the full query.
+		d, it, _ := t.decide(e, vd[ei], node.Leaf, eta, false)
+		if d != decDescend {
+			res.record(d, it)
 			if !node.Leaf && cn.child(e.ChildID) != nil {
-				t.cut.stats.Collapsed++
-			}
-			continue
-		}
-		if node.Leaf {
-			k := LeafDetail(v.DoV)
-			lvl := chooseLevel(k, len(t.ObjExtents[e.ObjectID]))
-			obj := t.Scene.Object(e.ObjectID)
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: e.ObjectID,
-				NodeID:   NilNode,
-				DoV:      v.DoV,
-				Detail:   k,
-				Level:    lvl,
-				Polygons: obj.LoDs.PolygonsFor(k),
-				Extent:   t.ObjExtents[e.ObjectID][lvl],
-			})
-			continue
-		}
-		k := InternalDetail(v.DoV, eta)
-		internalPolys := interpolatePolys(e.LoDPolys, k)
-		avgObjPolys := 0.0
-		if e.DescCount > 0 {
-			avgObjPolys = float64(e.DescPolys) / float64(e.DescCount)
-		}
-		if len(e.LoDRefs) > 0 && v.DoV <= eta && (t.DisableTerminationHeuristic ||
-			TerminateHeuristic(internalPolys, avgObjPolys, t.RhoMeasured, v.NVO)) {
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: -1,
-				NodeID:   e.ChildID,
-				DoV:      v.DoV,
-				Detail:   k,
-				Level:    lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			})
-			res.Stats.EarlyStops++
-			if cn.child(e.ChildID) != nil {
 				t.cut.stats.Collapsed++
 			}
 			continue

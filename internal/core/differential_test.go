@@ -8,14 +8,18 @@ package core_test
 // parallel fan-out merge.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/cells"
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/scene"
 	"repro/internal/storage"
 	"repro/internal/vstore"
@@ -39,7 +43,7 @@ var (
 	diffVal  *diffEnv
 )
 
-func diffFixture(t *testing.T) *diffEnv {
+func diffFixture(t testing.TB) *diffEnv {
 	t.Helper()
 	diffOnce.Do(func() {
 		p := scene.DefaultCityParams()
@@ -210,7 +214,8 @@ func assertConcurrentAgreement(t *testing.T, e *diffEnv, ws []workloadKey, ref m
 }
 
 // TestDifferentialSchemes: all three schemes, 1 and 8 concurrent clients,
-// serial and parallel traversal — one byte-identical answer per query.
+// serial and parallel traversal — one byte-identical answer per query;
+// prioritized traversal gives the same answer in its own pinned order.
 func TestDifferentialSchemes(t *testing.T) {
 	e := diffFixture(t)
 	ws := diffWorkload(e.tree)
@@ -233,6 +238,89 @@ func TestDifferentialSchemes(t *testing.T) {
 		}
 		assertConcurrentAgreement(t, e, ws, ref, 8)
 	})
+	t.Run("prioritized", func(t *testing.T) {
+		defer e.tree.SetParallel(1)
+		for _, par := range []int{1, 4} {
+			e.tree.SetParallel(par)
+			assertPrioritizedAgreement(t, e, ws, ref)
+		}
+	})
+}
+
+// prioFrustum is the view the prioritized mode uses in cell c: the eye
+// at the cell centre, looking along one of four horizontal headings
+// picked by the cell index, so neighbouring cells order differently.
+func prioFrustum(tr *core.Tree, c cells.CellID) geom.Frustum {
+	looks := [...]geom.Vec3{geom.V(1, 0.3, 0), geom.V(-0.2, 1, 0), geom.V(-1, -0.4, 0), geom.V(0.5, -1, 0)}
+	return geom.NewFrustum(tr.Grid.Center(c), looks[int(c)%len(looks)], geom.V(0, 0, 1), math.Pi/3, 4.0/3, 0.5, 1000)
+}
+
+// sortedLines is a canon string as a multiset: its lines in sorted
+// order, blind to the order items were emitted in.
+func sortedLines(s string) string {
+	lines := strings.Split(s, "\n")
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// prioOrderDigest pins the prioritized emission order: the SHA-256 that
+// prioDigest computes over the differential workload, recorded while the
+// prioritized traversal was still a separate copy of the Figure 3 loop.
+const prioOrderDigest = "a4078db52f8513ecf74b1984c6900ffed489735b50b1859b145ffe1d8e5f95c8"
+
+// prioDigest hashes the prioritized answers of the workload, items in
+// emission order. (On this fixture the visit order changes the emission
+// order in 12 of the 48 queries.)
+func prioDigest(tr *core.Tree, ws []workloadKey) (string, error) {
+	h := sha256.New()
+	for _, k := range ws {
+		r, err := tr.QueryPrioritized(k.cell, k.eta, prioFrustum(tr, k.cell))
+		if err != nil {
+			return "", fmt.Errorf("cell %d eta %g: %w", k.cell, k.eta, err)
+		}
+		h.Write([]byte(canon(r)))
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// assertPrioritizedAgreement checks QueryPrioritized against the Query
+// reference for every scheme, at the tree's current parallelism: the
+// same item multiset and the same visit, cut, early-stop and light-read
+// counts (seeks and SimTime follow the visit order, so they may differ),
+// and the pinned emission order.
+func assertPrioritizedAgreement(t *testing.T, e *diffEnv, ws []workloadKey, ref map[workloadKey]string) {
+	t.Helper()
+	for _, s := range e.schemes {
+		e.tree.SetVStore(s.vs)
+		for _, k := range ws {
+			plain, err := e.tree.Query(k.cell, k.eta)
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			prio, err := e.tree.QueryPrioritized(k.cell, k.eta, prioFrustum(e.tree, k.cell))
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			if sortedLines(canon(prio)) != sortedLines(ref[k]) {
+				t.Fatalf("%s parallel=%d cell %d eta %g: prioritized answer set differs from Query's:\n%s\nvs\n%s",
+					s.name, e.tree.Parallel, k.cell, k.eta, canon(prio), ref[k])
+			}
+			ps, qs := plain.Stats, prio.Stats
+			if ps.NodesVisited != qs.NodesVisited || ps.BranchesCut != qs.BranchesCut ||
+				ps.EarlyStops != qs.EarlyStops || ps.LightIO != qs.LightIO {
+				t.Fatalf("%s parallel=%d cell %d eta %g: prioritized stats %+v, Query stats %+v",
+					s.name, e.tree.Parallel, k.cell, k.eta, qs, ps)
+			}
+		}
+		got, err := prioDigest(e.tree, ws)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if got != prioOrderDigest {
+			t.Fatalf("%s parallel=%d: prioritized emission order digest %s, want %s",
+				s.name, e.tree.Parallel, got, prioOrderDigest)
+		}
+	}
 }
 
 // TestDifferentialDegradations: with an explicitly corrupted node page

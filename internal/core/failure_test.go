@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/cells"
+	"repro/internal/geom"
 	"repro/internal/storage"
 )
 
@@ -96,16 +98,36 @@ func TestDecodeNodeRecordNeverPanics(t *testing.T) {
 	}
 }
 
+// TestMemStoreShortVPage: a V-page shorter than the node's entry count is
+// a hard error, not an index panic, in every traversal mode.
 func TestMemStoreShortVPage(t *testing.T) {
-	// A V-page shorter than the node's entry count is a hard error, not
-	// an index panic.
 	tr, vis := fixture(t)
-	short := &shortVStore{vis: vis}
 	saved := tr.VStoreScheme()
-	tr.SetVStore(short)
+	tr.SetVStore(&shortVStore{vis: vis})
 	defer tr.SetVStore(saved)
-	if _, err := tr.Query(0, 0.001); err == nil {
-		t.Fatal("short V-page accepted")
+	f := geom.NewFrustum(tr.Grid.Center(0), geom.V(1, 0, 0), geom.V(0, 0, 1), math.Pi/3, 4.0/3, 0.5, 1000)
+	for _, m := range []struct {
+		name  string
+		query func(s *Tree) (*QueryResult, error)
+	}{
+		{"serial", func(s *Tree) (*QueryResult, error) { return s.Query(0, 0.001) }},
+		{"parallel", func(s *Tree) (*QueryResult, error) {
+			s.SetParallel(4)
+			return s.Query(0, 0.001)
+		}},
+		{"coherent", func(s *Tree) (*QueryResult, error) { return s.QueryCoherent(0, 0.001) }},
+		{"prioritized", func(s *Tree) (*QueryResult, error) { return s.QueryPrioritized(0, 0.001, f) }},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("short V-page panicked: %v", r)
+				}
+			}()
+			if _, err := m.query(tr.Session()); err == nil {
+				t.Fatal("short V-page accepted")
+			}
+		})
 	}
 }
 

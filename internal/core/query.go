@@ -82,6 +82,23 @@ var ErrNoVStore = errors.New("core: no storage scheme attached (call SetVStore)"
 // Degradations. With a background context and no policy the behavior —
 // and the answer — is byte-identical to Query's.
 func (t *Tree) QueryContext(ctx context.Context, cell cells.CellID, eta float64) (*QueryResult, error) {
+	return t.query(ctx, cell, eta, nil)
+}
+
+// QueryPrioritized is the DESIGN.md D5 extension (the paper's §6 future
+// work): the same answer set as Query, but each node's entries are
+// visited in frustum order (see visitOrder), so the renderer receives
+// in-view geometry earliest. Only the emission order (and with it the
+// simulated seek time) differs: the answer set, the traversal
+// counters and the shed semantics are Query's. It has no Context form.
+func (t *Tree) QueryPrioritized(cell cells.CellID, eta float64, f geom.Frustum) (*QueryResult, error) {
+	return t.query(bgContext, cell, eta, &f)
+}
+
+// query is the from-root traversal behind QueryContext and
+// QueryPrioritized; front, when non-nil, is the prioritized visit order's
+// view frustum.
+func (t *Tree) query(ctx context.Context, cell cells.CellID, eta float64, front *geom.Frustum) (*QueryResult, error) {
 	if t.vstore == nil {
 		return nil, ErrNoVStore
 	}
@@ -90,6 +107,7 @@ func (t *Tree) QueryContext(ctx context.Context, cell cells.CellID, eta float64)
 	}
 	tc, eff, done := t.begin(ctx, eta)
 	defer done()
+	tc.front = front
 	before := t.statsNow()
 	res := t.getResult(cell, eta)
 	if err := t.vstore.SetCell(cell); err != nil {
@@ -104,6 +122,13 @@ func (t *Tree) QueryContext(ctx context.Context, cell cells.CellID, eta float64)
 		}
 	}
 	tc.shedMark(res)
+	t.finish(res, before)
+	return res, nil
+}
+
+// finish fills in the totals of a completed traversal: the session's I/O
+// since before, and the answer set's polygons and payload bytes.
+func (t *Tree) finish(res *QueryResult, before storage.Stats) {
 	d := t.statsNow().Sub(before)
 	res.Stats.LightIO = d.LightReads
 	res.Stats.HeavyIO = d.HeavyReads
@@ -113,13 +138,111 @@ func (t *Tree) QueryContext(ctx context.Context, cell cells.CellID, eta float64)
 		res.Stats.TotalPolygons += it.Polygons
 		res.Stats.TotalBytes += it.Extent.NominalBytes
 	}
-	return res, nil
+}
+
+// decision is the outcome of Figure 3 for one entry of an expanded node.
+type decision uint8
+
+const (
+	decDescend   decision = iota // line 10: recurse into the child
+	decCut                       // line 3: hidden branch, pruned
+	decObject                    // lines 4-5: the visible object's LoD
+	decEarlyStop                 // line 8: the child's internal LoD answers the branch
+	decShed                      // the shed policy's depth limit: the child's internal LoD
+)
+
+// decide is the per-entry policy of Figure 3, the one place it is
+// written down. For entry e (of a leaf when leaf is set) with view data v
+// at threshold eta it returns the decision, the answer item of every
+// decision but decCut and decDescend, and the detail k of equation 5 or 6,
+// which a descent keeps for fault substitution. truncate is the shed
+// policy's verdict for the node's depth.
+//
+// hdov:hot-path
+func (t *Tree) decide(e *NodeEntry, v VD, leaf bool, eta float64, truncate bool) (decision, ResultItem, float64) {
+	// Line 3: completely hidden branch.
+	if v.DoV <= 0 {
+		return decCut, ResultItem{}, 0
+	}
+	// Lines 4-5: visible object, at the equation-6 detail.
+	if leaf {
+		k := LeafDetail(v.DoV)
+		lvl := chooseLevel(k, len(t.ObjExtents[e.ObjectID]))
+		return decObject, ResultItem{
+			ObjectID: e.ObjectID,
+			NodeID:   NilNode,
+			DoV:      v.DoV,
+			Detail:   k,
+			Level:    lvl,
+			Polygons: t.Scene.Object(e.ObjectID).LoDs.PolygonsFor(k),
+			Extent:   t.ObjExtents[e.ObjectID][lvl],
+		}, k
+	}
+	// Line 7: the equation-5 detail k is computed first because the guard
+	// compares costs at the internal-LoD level that would actually be
+	// retrieved (see TerminateHeuristic).
+	k := InternalDetail(v.DoV, eta)
+	internalPolys := interpolatePolys(e.LoDPolys, k)
+	avgObjPolys := 0.0
+	if e.DescCount > 0 {
+		avgObjPolys = float64(e.DescPolys) / float64(e.DescCount)
+	}
+	d := decDescend
+	switch {
+	case len(e.LoDRefs) == 0:
+		// No internal LoD to answer with (possible only in hand-built
+		// trees): always recurse.
+	case v.DoV <= eta && (t.DisableTerminationHeuristic ||
+		TerminateHeuristic(internalPolys, avgObjPolys, t.RhoMeasured, v.NVO)):
+		// Line 8: the child's internal-LoD references are co-located in
+		// the entry, so no child record is read.
+		d = decEarlyStop
+	case truncate:
+		// At the shed depth limit the branch answers with the child's
+		// internal LoD even though η says descend.
+		d = decShed
+	}
+	if d == decDescend {
+		return d, ResultItem{}, k
+	}
+	lvl := chooseLevel(k, len(e.LoDRefs))
+	return d, ResultItem{
+		ObjectID: -1,
+		NodeID:   e.ChildID,
+		DoV:      v.DoV,
+		Detail:   k,
+		Level:    lvl,
+		Polygons: internalPolys,
+		Extent:   e.LoDRefs[lvl],
+	}, k
+}
+
+// record adds a decision other than decDescend to the answer: its item,
+// its counter, and for decShed the CauseShed Degradation that keeps
+// shedding visible (never silent).
+func (res *QueryResult) record(d decision, it ResultItem) {
+	switch d {
+	case decCut:
+		res.Stats.BranchesCut++
+		return
+	case decEarlyStop:
+		res.Stats.EarlyStops++
+	case decShed:
+		res.Stats.EarlyStops++
+		res.Degradations = append(res.Degradations, Degradation{
+			Cell: res.Cell, Node: it.NodeID, Object: -1,
+			Cause: CauseShed, Page: storage.NilPage,
+			SubstituteNode: it.NodeID, SubstituteLevel: it.Level,
+		})
+	}
+	res.Items = append(res.Items, it)
 }
 
 // searchNode is Algorithm Search(Node) of Figure 3. anc is the ancestor
 // ladder of internal-LoD sources used by fault-tolerant substitution (nil
 // at the root; see degrade.go). tc carries the cancellation checkpoint
-// (polled here, once per node expansion) and the shed policy.
+// (polled here, once per node expansion), the shed policy and the visit
+// order.
 //
 // hdov:hot-path
 func (t *Tree) searchNode(tc travCtx, id NodeID, eta float64, res *QueryResult, anc []lodSource) error {
@@ -144,77 +267,17 @@ func (t *Tree) searchNode(tc travCtx, id NodeID, eta float64, res *QueryResult, 
 	if len(vd) < len(node.Entries) {
 		return fmt.Errorf("core: node %d has %d entries but V-page has %d", id, len(node.Entries), len(vd))
 	}
+	order := tc.visitOrder(node)
 	if t.parSem != nil && !node.Leaf {
-		return t.searchEntriesParallel(tc, node, vd, eta, res, anc)
+		return t.searchEntriesParallel(tc, node, vd, order, eta, res, anc)
 	}
-	for ei, e := range node.Entries {
-		v := vd[ei]
-		// Line 3: completely hidden branch.
-		if v.DoV <= 0 {
-			res.Stats.BranchesCut++
-			continue
-		}
-		// Lines 4-5: visible object.
-		if node.Leaf {
-			k := LeafDetail(v.DoV)
-			lvl := chooseLevel(k, len(t.ObjExtents[e.ObjectID]))
-			obj := t.Scene.Object(e.ObjectID)
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: e.ObjectID,
-				NodeID:   NilNode,
-				DoV:      v.DoV,
-				Detail:   k,
-				Level:    lvl,
-				Polygons: obj.LoDs.PolygonsFor(k),
-				Extent:   t.ObjExtents[e.ObjectID][lvl],
-			})
-			continue
-		}
-		// Line 7: the equation-5 detail k is computed first because the
-		// guard compares costs at the internal-LoD level that would
-		// actually be retrieved (see TerminateHeuristic).
-		k := InternalDetail(v.DoV, eta)
-		internalPolys := interpolatePolys(e.LoDPolys, k)
-		avgObjPolys := 0.0
-		if e.DescCount > 0 {
-			avgObjPolys = float64(e.DescPolys) / float64(e.DescCount)
-		}
-		if len(e.LoDRefs) > 0 && v.DoV <= eta && (t.DisableTerminationHeuristic ||
-			TerminateHeuristic(internalPolys, avgObjPolys, t.RhoMeasured, v.NVO)) {
-			// Line 8: answer the branch with the child's internal LoD,
-			// whose references are co-located in the entry. (An entry
-			// without LoD references — possible only for hand-built
-			// trees — falls through to recursion.)
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: -1,
-				NodeID:   e.ChildID,
-				DoV:      v.DoV,
-				Detail:   k,
-				Level:    lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			})
-			res.Stats.EarlyStops++
-			continue
-		}
-		// Shed truncation: at the policy's depth limit the branch answers
-		// with the child's internal LoD even though η says descend —
-		// recorded as a CauseShed Degradation, never silent.
-		if tc.truncate(len(anc)) && len(e.LoDRefs) > 0 {
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: -1, NodeID: e.ChildID, DoV: v.DoV,
-				Detail: k, Level: lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			})
-			res.Stats.EarlyStops++
-			res.Degradations = append(res.Degradations, Degradation{
-				Cell: res.Cell, Node: e.ChildID, Object: -1,
-				Cause: CauseShed, Page: storage.NilPage,
-				SubstituteNode: e.ChildID, SubstituteLevel: lvl,
-			})
+	truncate := tc.truncate(len(anc))
+	for i := range node.Entries {
+		ei := entryAt(order, i)
+		e := &node.Entries[ei]
+		d, it, k := t.decide(e, vd[ei], node.Leaf, eta, truncate)
+		if d != decDescend {
+			res.record(d, it)
 			continue
 		}
 		// Line 10: recurse. The child's internal-LoD references (already
@@ -225,22 +288,66 @@ func (t *Tree) searchNode(tc travCtx, id NodeID, eta float64, res *QueryResult, 
 			if !ok {
 				return err
 			}
-			t.substitute(res, childAnc, e.ChildID, v.DoV, k, cause, page)
+			t.substitute(res, childAnc, e.ChildID, vd[ei].DoV, k, cause, page)
 		}
 	}
 	return nil
 }
 
-// entryPlan is the per-entry outcome of the planning pass of a parallel
-// fan-out: pruned, answered by an early-stop internal LoD, or descended
-// into a child subtree whose sub-result merges back in entry order.
+// visitOrder is the order in which node's entries are visited: nil,
+// meaning index order, unless the query is prioritized. Then entries
+// intersecting the view frustum come first, then those whose bulk lies
+// ahead of the viewer (an intersecting box centered behind the eye mostly
+// holds behind-geometry), then nearest first.
+func (tc travCtx) visitOrder(node *Node) []int {
+	f := tc.front
+	if f == nil {
+		return nil
+	}
+	type key struct {
+		inView, ahead bool
+		dist          float64
+	}
+	keys := make([]key, len(node.Entries))
+	order := make([]int, len(node.Entries))
+	for i, e := range node.Entries {
+		order[i] = i
+		keys[i] = key{
+			inView: f.IntersectsAABB(e.MBR),
+			ahead:  e.MBR.Center().Sub(f.Apex).Dot(f.Look) >= 0,
+			dist:   e.MBR.Dist2ToPoint(f.Apex),
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ka, kb := keys[order[a]], keys[order[b]]
+		if ka.inView != kb.inView {
+			return ka.inView
+		}
+		if ka.ahead != kb.ahead {
+			return ka.ahead
+		}
+		return ka.dist < kb.dist
+	})
+	return order
+}
+
+// entryAt is the index of the entry visited i-th under order.
+func entryAt(order []int, i int) int {
+	if order == nil {
+		return i
+	}
+	return order[i]
+}
+
+// entryPlan is one entry of a parallel fan-out: its decision and item,
+// and for a descent the child subtree's sub-result, merged back in visit
+// order.
 type entryPlan struct {
-	cut      bool
-	item     ResultItem // early-stop item (line 8 of Figure 3)
-	hasItem  bool
-	recurse  bool
-	childAnc []lodSource
+	dec      decision
+	item     ResultItem
+	child    NodeID
 	dov, k   float64
+	childAnc []lodSource
 	sub      *QueryResult
 	err      error
 }
@@ -248,61 +355,23 @@ type entryPlan struct {
 // searchEntriesParallel is the bounded-fan-out form of the entry loop of
 // searchNode for internal nodes. A planning pass makes the per-entry
 // decisions (which need only the already-read node record and V-page),
-// then child descents run on up to Parallel workers, then sub-results
-// merge serially in entry index order — so the answer set, degradation
-// events, and traversal stats are identical to the serial traversal's.
+// then child descents run on up to Parallel workers, then every decision
+// merges serially in visit order — so the answer set, degradation events,
+// and traversal stats are identical to the serial traversal's.
 //
 // hdov:hot-path
-func (t *Tree) searchEntriesParallel(tc travCtx, node *Node, vd []VD, eta float64, res *QueryResult, anc []lodSource) error {
+func (t *Tree) searchEntriesParallel(tc travCtx, node *Node, vd []VD, order []int, eta float64, res *QueryResult, anc []lodSource) error {
 	plans := make([]entryPlan, len(node.Entries))
-	for ei, e := range node.Entries {
-		v := vd[ei]
-		p := &plans[ei]
-		if v.DoV <= 0 {
-			p.cut = true
-			res.Stats.BranchesCut++
+	truncate := tc.truncate(len(anc))
+	for i := range plans {
+		ei := entryAt(order, i)
+		e := &node.Entries[ei]
+		p := &plans[i]
+		p.dec, p.item, p.k = t.decide(e, vd[ei], false, eta, truncate)
+		if p.dec != decDescend {
 			continue
 		}
-		k := InternalDetail(v.DoV, eta)
-		internalPolys := interpolatePolys(e.LoDPolys, k)
-		avgObjPolys := 0.0
-		if e.DescCount > 0 {
-			avgObjPolys = float64(e.DescPolys) / float64(e.DescCount)
-		}
-		if len(e.LoDRefs) > 0 && v.DoV <= eta && (t.DisableTerminationHeuristic ||
-			TerminateHeuristic(internalPolys, avgObjPolys, t.RhoMeasured, v.NVO)) {
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			p.item = ResultItem{
-				ObjectID: -1, NodeID: e.ChildID, DoV: v.DoV,
-				Detail: k, Level: lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			}
-			p.hasItem = true
-			res.Stats.EarlyStops++
-			continue
-		}
-		// Shed truncation, mirroring the serial loop (the planning pass
-		// runs on one goroutine, so the Degradation order is stable).
-		if tc.truncate(len(anc)) && len(e.LoDRefs) > 0 {
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			p.item = ResultItem{
-				ObjectID: -1, NodeID: e.ChildID, DoV: v.DoV,
-				Detail: k, Level: lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			}
-			p.hasItem = true
-			res.Stats.EarlyStops++
-			res.Degradations = append(res.Degradations, Degradation{
-				Cell: res.Cell, Node: e.ChildID, Object: -1,
-				Cause: CauseShed, Page: storage.NilPage,
-				SubstituteNode: e.ChildID, SubstituteLevel: lvl,
-			})
-			continue
-		}
-		p.recurse = true
-		p.dov, p.k = v.DoV, k
+		p.child, p.dov = e.ChildID, vd[ei].DoV
 		// The three-index slice caps capacity so concurrent appends cannot
 		// alias one backing array across sibling subtrees.
 		p.childAnc = append(anc[:len(anc):len(anc)],
@@ -315,42 +384,38 @@ func (t *Tree) searchEntriesParallel(tc travCtx, node *Node, vd []VD, eta float6
 	var wg sync.WaitGroup
 	for i := range plans {
 		p := &plans[i]
-		if !p.recurse {
+		if p.dec != decDescend {
 			continue
 		}
-		child := node.Entries[i].ChildID
 		select {
 		case t.parSem <- struct{}{}:
 			wg.Add(1)
 			//lint:ignore hotalloc one closure per claimed worker slot, amortized by the page reads the descent performs
-			go func(p *entryPlan, child NodeID) {
+			go func(p *entryPlan) {
 				defer wg.Done()
 				defer func() { <-t.parSem }()
-				p.err = t.searchNode(tc, child, eta, p.sub, p.childAnc)
-			}(p, child)
+				p.err = t.searchNode(tc, p.child, eta, p.sub, p.childAnc)
+			}(p)
 		default:
-			p.err = t.searchNode(tc, child, eta, p.sub, p.childAnc)
+			p.err = t.searchNode(tc, p.child, eta, p.sub, p.childAnc)
 		}
 	}
 	wg.Wait()
-	// Merge in entry index order; fault absorption runs here, on one
-	// goroutine, so quarantine marks and substitutions land in the same
+	// Merge in visit order; fault absorption runs here, on one goroutine,
+	// so quarantine marks, substitutions and shed records land in the same
 	// order a serial traversal would produce.
 	for i := range plans {
 		p := &plans[i]
-		if p.hasItem {
-			res.Items = append(res.Items, p.item)
-			continue
-		}
-		if !p.recurse {
+		if p.dec != decDescend {
+			res.record(p.dec, p.item)
 			continue
 		}
 		if p.err != nil {
-			cause, page, ok := t.absorbFault(p.err, node.Entries[i].ChildID)
+			cause, page, ok := t.absorbFault(p.err, p.child)
 			if !ok {
 				return p.err
 			}
-			t.substitute(res, p.childAnc, node.Entries[i].ChildID, p.dov, p.k, cause, page)
+			t.substitute(res, p.childAnc, p.child, p.dov, p.k, cause, page)
 			t.Recycle(p.sub)
 			continue
 		}
@@ -515,158 +580,4 @@ func (t *Tree) LoadMesh(it ResultItem) (*mesh.Mesh, error) {
 		return nil, err
 	}
 	return mesh.Decode(buf)
-}
-
-// QueryPrioritizedContext is the DESIGN.md D5 extension (the paper's §6
-// future work): identical answer set to QueryContext, but branches
-// intersecting the view frustum are traversed first so the renderer
-// receives in-view geometry earliest. The result carries, per item, the
-// prefix position at which it became available; tests measure
-// time-to-first-in-view-item. Context and shed semantics match
-// QueryContext's.
-func (t *Tree) QueryPrioritizedContext(ctx context.Context, cell cells.CellID, eta float64, f geom.Frustum) (*QueryResult, error) {
-	if t.vstore == nil {
-		return nil, ErrNoVStore
-	}
-	if eta < 0 {
-		eta = 0
-	}
-	tc, eff, done := t.begin(ctx, eta)
-	defer done()
-	before := t.statsNow()
-	res := &QueryResult{Cell: cell, Eta: eta}
-	if err := t.vstore.SetCell(cell); err != nil {
-		if !t.rootFallback(res, err, CauseCellFlip) {
-			return nil, err
-		}
-	} else if err := t.searchNodePrioritized(tc, 0, eff, f, res, nil); err != nil {
-		if !t.rootFallback(res, err, CauseNodeRecord) {
-			return nil, err
-		}
-	}
-	tc.shedMark(res)
-	d := t.statsNow().Sub(before)
-	res.Stats.LightIO = d.LightReads
-	res.Stats.HeavyIO = d.HeavyReads
-	res.Stats.Retries = d.Retries
-	res.Stats.SimTime = d.SimTime
-	for _, it := range res.Items {
-		res.Stats.TotalPolygons += it.Polygons
-		res.Stats.TotalBytes += it.Extent.NominalBytes
-	}
-	return res, nil
-}
-
-// searchNodePrioritized is searchNode with a frustum-driven visit order
-// (see QueryPrioritizedContext); the answer set is identical, only the
-// emission order differs.
-//
-// hdov:hot-path
-func (t *Tree) searchNodePrioritized(tc travCtx, id NodeID, eta float64, f geom.Frustum, res *QueryResult, anc []lodSource) error {
-	if err := tc.err(); err != nil {
-		return err
-	}
-	node, err := t.ReadNodeRecord(id)
-	if err != nil {
-		return err
-	}
-	res.Stats.NodesVisited++
-	if len(anc) == 0 {
-		anc = []lodSource{{node: id, refs: node.InternalExtents, polys: node.InternalPolys}}
-	}
-	vd, ok, err := t.vstore.NodeVD(id)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil
-	}
-	// Order entries: frustum-intersecting first, then those whose bulk
-	// lies ahead of the viewer (an intersecting box centered behind the
-	// eye mostly holds behind-geometry), then nearest first.
-	order := make([]int, len(node.Entries))
-	for i := range order {
-		order[i] = i
-	}
-	inView := make([]bool, len(node.Entries))
-	ahead := make([]bool, len(node.Entries))
-	dist := make([]float64, len(node.Entries))
-	for i, e := range node.Entries {
-		inView[i] = f.IntersectsAABB(e.MBR)
-		ahead[i] = e.MBR.Center().Sub(f.Apex).Dot(f.Look) >= 0
-		dist[i] = e.MBR.Dist2ToPoint(f.Apex)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if inView[ia] != inView[ib] {
-			return inView[ia]
-		}
-		if ahead[ia] != ahead[ib] {
-			return ahead[ia]
-		}
-		return dist[ia] < dist[ib]
-	})
-	for _, ei := range order {
-		e := node.Entries[ei]
-		v := vd[ei]
-		if v.DoV <= 0 {
-			res.Stats.BranchesCut++
-			continue
-		}
-		if node.Leaf {
-			k := LeafDetail(v.DoV)
-			lvl := chooseLevel(k, len(t.ObjExtents[e.ObjectID]))
-			obj := t.Scene.Object(e.ObjectID)
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: e.ObjectID, NodeID: NilNode, DoV: v.DoV,
-				Detail: k, Level: lvl,
-				Polygons: obj.LoDs.PolygonsFor(k),
-				Extent:   t.ObjExtents[e.ObjectID][lvl],
-			})
-			continue
-		}
-		k := InternalDetail(v.DoV, eta)
-		internalPolys := interpolatePolys(e.LoDPolys, k)
-		avgObjPolys := 0.0
-		if e.DescCount > 0 {
-			avgObjPolys = float64(e.DescPolys) / float64(e.DescCount)
-		}
-		if len(e.LoDRefs) > 0 && v.DoV <= eta && (t.DisableTerminationHeuristic ||
-			TerminateHeuristic(internalPolys, avgObjPolys, t.RhoMeasured, v.NVO)) {
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: -1, NodeID: e.ChildID, DoV: v.DoV,
-				Detail: k, Level: lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			})
-			res.Stats.EarlyStops++
-			continue
-		}
-		if tc.truncate(len(anc)) && len(e.LoDRefs) > 0 {
-			lvl := chooseLevel(k, len(e.LoDRefs))
-			res.Items = append(res.Items, ResultItem{
-				ObjectID: -1, NodeID: e.ChildID, DoV: v.DoV,
-				Detail: k, Level: lvl,
-				Polygons: interpolatePolys(e.LoDPolys, k),
-				Extent:   e.LoDRefs[lvl],
-			})
-			res.Stats.EarlyStops++
-			res.Degradations = append(res.Degradations, Degradation{
-				Cell: res.Cell, Node: e.ChildID, Object: -1,
-				Cause: CauseShed, Page: storage.NilPage,
-				SubstituteNode: e.ChildID, SubstituteLevel: lvl,
-			})
-			continue
-		}
-		childAnc := append(anc, lodSource{node: e.ChildID, refs: e.LoDRefs, polys: e.LoDPolys})
-		if err := t.searchNodePrioritized(tc, e.ChildID, eta, f, res, childAnc); err != nil {
-			cause, page, ok := t.absorbFault(err, e.ChildID)
-			if !ok {
-				return err
-			}
-			t.substitute(res, childAnc, e.ChildID, v.DoV, k, cause, page)
-		}
-	}
-	return nil
 }

@@ -132,20 +132,21 @@ func wrapResult(r *core.QueryResult) *Result {
 // call Fetch to charge payload retrieval.
 func (db *DB) Query(p Point, eta float64) (*Result, error) {
 	t, _ := db.snapshot()
-	cell := t.Grid.Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
+	cell, err := locate(t.Grid, p)
+	if err != nil {
+		return nil, err
 	}
-	return db.QueryCell(int(cell), eta)
+	return db.QueryCell(cell, eta)
 }
 
 // QueryCell is Query for an explicit cell index.
 func (db *DB) QueryCell(cell int, eta float64) (*Result, error) {
 	t, _ := db.snapshot()
-	if cell < 0 || cell >= t.Grid.NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, t.Grid.NumCells())
+	c, err := checkCell(t.Grid, cell)
+	if err != nil {
+		return nil, err
 	}
-	r, err := t.Query(cells.CellID(cell), eta)
+	r, err := t.Query(c, eta)
 	if err != nil {
 		return nil, err
 	}
@@ -157,11 +158,11 @@ func (db *DB) QueryNaive(p Point) (*Result, error) {
 	db.mu.RLock()
 	t, nv := db.tree, db.naive
 	db.mu.RUnlock()
-	cell := t.Grid.Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
+	cell, err := locate(t.Grid, p)
+	if err != nil {
+		return nil, err
 	}
-	r, err := nv.Query(cell)
+	r, err := nv.Query(cells.CellID(cell))
 	if err != nil {
 		return nil, err
 	}

@@ -39,19 +39,20 @@ type Session struct {
 // Query answers the visibility query at viewpoint p with DoV threshold
 // eta, like DB.Query, charged to this session alone.
 func (s *Session) Query(p Point, eta float64) (*Result, error) {
-	cell := s.tree.Grid.Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
+	cell, err := locate(s.tree.Grid, p)
+	if err != nil {
+		return nil, err
 	}
-	return s.QueryCell(int(cell), eta)
+	return s.QueryCell(cell, eta)
 }
 
 // QueryCell is Query for an explicit cell index.
 func (s *Session) QueryCell(cell int, eta float64) (*Result, error) {
-	if cell < 0 || cell >= s.tree.Grid.NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, s.tree.Grid.NumCells())
+	c, err := checkCell(s.tree.Grid, cell)
+	if err != nil {
+		return nil, err
 	}
-	r, err := s.tree.Query(cells.CellID(cell), eta)
+	r, err := s.tree.Query(c, eta)
 	if err != nil {
 		return nil, err
 	}
@@ -64,10 +65,9 @@ func (s *Session) QueryCell(cell int, eta float64) (*Result, error) {
 // QueryCell loop, and the workers' I/O is charged to this session's
 // Stats. Out-of-range cells are rejected before any query runs.
 func (s *Session) QueryMany(cellIDs []int, eta float64) ([]*Result, error) {
-	n := s.tree.Grid.NumCells()
 	for _, c := range cellIDs {
-		if c < 0 || c >= n {
-			return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", c, n)
+		if _, err := checkCell(s.tree.Grid, c); err != nil {
+			return nil, err
 		}
 	}
 	out := make([]*Result, len(cellIDs))
@@ -117,19 +117,20 @@ func (s *Session) QueryMany(cellIDs []int, eta float64) ([]*Result, error) {
 // full traversal); only the I/O accounting differs. The cut is
 // per-session state, which is why the method lives here and not on DB.
 func (s *Session) QueryCoherent(p Point, eta float64) (*Result, error) {
-	cell := s.tree.Grid.Locate(p.vec())
-	if cell == cells.NoCell {
-		return nil, ErrOutsideCells
+	cell, err := locate(s.tree.Grid, p)
+	if err != nil {
+		return nil, err
 	}
-	return s.QueryCellCoherent(int(cell), eta)
+	return s.QueryCellCoherent(cell, eta)
 }
 
 // QueryCellCoherent is QueryCoherent for an explicit cell index.
 func (s *Session) QueryCellCoherent(cell int, eta float64) (*Result, error) {
-	if cell < 0 || cell >= s.tree.Grid.NumCells() {
-		return nil, fmt.Errorf("hdov: cell %d out of range [0,%d)", cell, s.tree.Grid.NumCells())
+	c, err := checkCell(s.tree.Grid, cell)
+	if err != nil {
+		return nil, err
 	}
-	r, err := s.tree.QueryCoherent(cells.CellID(cell), eta)
+	r, err := s.tree.QueryCoherent(c, eta)
 	if err != nil {
 		return nil, err
 	}
