@@ -108,6 +108,59 @@ func TestConcurrentSessionsDeterministic(t *testing.T) {
 	}
 }
 
+// TestConcurrentSessionsShareRecordTable: the sessions of one epoch share
+// its decoded node records, so eight of them sweeping every cell at once,
+// with and without a buffer pool, must each answer exactly like a serial
+// session while the race detector watches.
+func TestConcurrentSessionsShareRecordTable(t *testing.T) {
+	db := testDB(t)
+	n := db.NumCells()
+	want := make([]string, n)
+	serial := db.NewSession()
+	for c := 0; c < n; c++ {
+		r, err := serial.QueryCell(c, 0.001)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[c] = publicFingerprint(r)
+	}
+	defer db.SetCacheSize(0)
+	for _, pool := range []int{0, 1 << 12} {
+		db.SetCacheSize(pool)
+		const clients = 8
+		errs := make([]error, clients)
+		var wg sync.WaitGroup
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				s := db.NewSession()
+				for k := 0; k < n; k++ {
+					c := (k + i*n/clients) % n
+					r, err := s.QueryCell(c, 0.001)
+					if err == nil {
+						err = s.Fetch(r)
+					}
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					if publicFingerprint(r) != want[c] {
+						errs[i] = fmt.Errorf("cell %d differs from the serial answer", c)
+						return
+					}
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("pool %d, client %d: %v", pool, i, err)
+			}
+		}
+	}
+}
+
 // diskStatsDelta returns a - b field by field.
 func diskStatsDelta(a, b DiskStats) DiskStats {
 	return DiskStats{

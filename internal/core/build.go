@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -129,6 +130,11 @@ type Tree struct {
 	vstore       VStore
 	nodePageBase storage.PageID
 	nodeStride   int // pages per node record
+	// recs is the epoch's record table, indexed by NodeID: each node's
+	// encoded record beside its decode. writeNodeRecords and OpenTree
+	// fill it; it is read-only afterwards and shared by every session of
+	// the epoch (see ReadNodeRecord).
+	recs []nodeRec
 
 	// bb holds the live R-tree backbone the node mirror was derived from,
 	// retained so incremental updates (update.go) can evolve it in place.
@@ -152,6 +158,13 @@ type Tree struct {
 	// resPool recycles QueryResults within one session (see Recycle);
 	// nil on the base tree, so recycling is per-session by construction.
 	resPool *resultPool
+}
+
+// nodeRec is one record-table row: the record bytes as written to disk
+// and their DecodeNodeRecord result.
+type nodeRec struct {
+	raw  []byte
+	node *Node
 }
 
 // backbone boxes the live R-tree so epoch transfer mutates holder
@@ -491,11 +504,18 @@ func (t *Tree) writeNodeRecords() error {
 	}
 	t.nodeStride = t.Disk.PagesFor(int64(maxRec))
 	t.nodePageBase = t.Disk.AllocPages(t.nodeStride * len(t.Nodes))
+	t.recs = make([]nodeRec, len(t.Nodes))
 	for _, n := range t.Nodes {
 		n.Page = t.nodePageBase + storage.PageID(int(n.ID)*t.nodeStride)
-		if err := t.Disk.WriteBytes(n.Page, n.EncodeRecord()); err != nil {
+		raw := n.EncodeRecord()
+		if err := t.Disk.WriteBytes(n.Page, raw); err != nil {
 			return fmt.Errorf("core: writing node %d: %w", n.ID, err)
 		}
+		dec, err := DecodeNodeRecord(raw)
+		if err != nil {
+			return fmt.Errorf("core: node %d: %w", n.ID, err)
+		}
+		t.recs[n.ID] = nodeRec{raw: raw, node: dec}
 	}
 	return nil
 }
@@ -526,7 +546,16 @@ func (t *Tree) NodePage(id NodeID) storage.PageID {
 func (t *Tree) NodeStride() int { return t.nodeStride }
 
 // ReadNodeRecord fetches and decodes a node record from disk, charging
-// light I/O — the "tree node" component of Figure 8(b).
+// light I/O — the "tree node" component of Figure 8(b). The read always
+// goes through the session's reader, so pool hits and misses, seeks,
+// SimTime, retries, faults and quarantine are charged as for any page.
+// When the bytes read back equal the ones the epoch wrote, the decode
+// already in the record table is returned instead of decoding again;
+// bytes that differ (tampered or corrupt media) are decoded afresh.
+//
+// The returned node may be shared by every session of the epoch: callers
+// must never mutate it (searchNode, cutRecord and review's window query
+// only read it).
 //
 // hdov:hot-path
 func (t *Tree) ReadNodeRecord(id NodeID) (*Node, error) {
@@ -536,6 +565,9 @@ func (t *Tree) ReadNodeRecord(id NodeID) (*Node, error) {
 	buf, err := t.reader().ReadBytes(t.NodePage(id), t.Nodes[id].RecordSize(), storage.ClassLight)
 	if err != nil {
 		return nil, err
+	}
+	if rec := &t.recs[id]; bytes.Equal(buf, rec.raw) {
+		return rec.node, nil
 	}
 	n, err := DecodeNodeRecord(buf)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/cells"
@@ -132,10 +133,15 @@ func OpenTree(sc *scene.Scene, d *storage.Disk, m TreeManifest) (*Tree, error) {
 	}
 	t.Params.Grid = t.Grid
 
-	// Reread node records via PeekPage so opening charges no I/O.
+	// Reread node records via PeekPage so opening charges no I/O. Each
+	// record is decoded twice: once for the mirror, which gains its page
+	// and internal-LoD chain below, and once for the record table, whose
+	// nodes queries share and nobody mutates.
 	t.Nodes = make([]*Node, m.NumNodes)
+	t.recs = make([]nodeRec, m.NumNodes)
+	buf := make([]byte, 0, m.NodeStride*d.PageSize())
 	for id := 0; id < m.NumNodes; id++ {
-		buf := make([]byte, 0, m.NodeStride*d.PageSize())
+		buf = buf[:0]
 		for pg := 0; pg < m.NodeStride; pg++ {
 			page, err := d.PeekPage(t.NodePage(NodeID(id)) + storage.PageID(pg))
 			if err != nil {
@@ -150,6 +156,12 @@ func OpenTree(sc *scene.Scene, d *storage.Disk, m TreeManifest) (*Tree, error) {
 		if n.ID != NodeID(id) {
 			return nil, fmt.Errorf("core: open: node record %d claims ID %d", id, n.ID)
 		}
+		raw := bytes.Clone(buf[:n.RecordSize()])
+		dec, err := DecodeNodeRecord(raw)
+		if err != nil {
+			return nil, fmt.Errorf("core: open: node %d: %w", id, err)
+		}
+		t.recs[id] = nodeRec{raw: raw, node: dec}
 		n.Page = t.NodePage(NodeID(id))
 		t.Nodes[id] = n
 	}

@@ -255,7 +255,11 @@ func (t *Tree) searchNode(tc travCtx, id NodeID, eta float64, res *QueryResult, 
 	}
 	res.Stats.NodesVisited++
 	if len(anc) == 0 {
-		anc = []lodSource{{node: id, refs: node.InternalExtents, polys: node.InternalPolys}}
+		// The root allocates the query's one ancestor ladder, with a rung
+		// for every level: serial descents append into it in place, and a
+		// sibling reuses a rung only after the previous child returned.
+		anc = make([]lodSource, 1, node.SubtreeHeight+1)
+		anc[0] = lodSource{node: id, refs: node.InternalExtents, polys: node.InternalPolys}
 	}
 	vd, ok, err := t.vstore.NodeVD(id)
 	if err != nil {

@@ -145,29 +145,31 @@ func (s Stats) Sub(o Stats) Stats {
 }
 
 // Add returns s + o, for aggregating accounting across clients.
-func (s Stats) Add(o Stats) Stats { return s.add(o) }
+func (s Stats) Add(o Stats) Stats {
+	s.addIn(&o)
+	return s
+}
 
-// add returns s + o.
-func (s Stats) add(o Stats) Stats {
-	return Stats{
-		Reads:           s.Reads + o.Reads,
-		Writes:          s.Writes + o.Writes,
-		Seeks:           s.Seeks + o.Seeks,
-		LightReads:      s.LightReads + o.LightReads,
-		HeavyReads:      s.HeavyReads + o.HeavyReads,
-		Retries:         s.Retries + o.Retries,
-		SimTime:         s.SimTime + o.SimTime,
-		MeasuredTime:    s.MeasuredTime + o.MeasuredTime,
-		PoolLightHits:   s.PoolLightHits + o.PoolLightHits,
-		PoolLightMisses: s.PoolLightMisses + o.PoolLightMisses,
-		PoolHeavyHits:   s.PoolHeavyHits + o.PoolHeavyHits,
-		PoolHeavyMisses: s.PoolHeavyMisses + o.PoolHeavyMisses,
-		PoolEvictions:   s.PoolEvictions + o.PoolEvictions,
-		PrefetchHits:    s.PrefetchHits + o.PrefetchHits,
-		PrefetchWasted:  s.PrefetchWasted + o.PrefetchWasted,
-		VDCacheHits:     s.VDCacheHits + o.VDCacheHits,
-		CoalescedReads:  s.CoalescedReads + o.CoalescedReads,
-	}
+// addIn adds o into s field by field. The per-read accounting (charge,
+// account, Client.add) uses it so a charge copies no whole Stats value.
+func (s *Stats) addIn(o *Stats) {
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.Seeks += o.Seeks
+	s.LightReads += o.LightReads
+	s.HeavyReads += o.HeavyReads
+	s.Retries += o.Retries
+	s.SimTime += o.SimTime
+	s.MeasuredTime += o.MeasuredTime
+	s.PoolLightHits += o.PoolLightHits
+	s.PoolLightMisses += o.PoolLightMisses
+	s.PoolHeavyHits += o.PoolHeavyHits
+	s.PoolHeavyMisses += o.PoolHeavyMisses
+	s.PoolEvictions += o.PoolEvictions
+	s.PrefetchHits += o.PrefetchHits
+	s.PrefetchWasted += o.PrefetchWasted
+	s.VDCacheHits += o.VDCacheHits
+	s.CoalescedReads += o.CoalescedReads
 }
 
 // numStreams is how many concurrent sequential read streams the disk
@@ -271,7 +273,7 @@ func (d *Disk) Sync() error {
 	}
 	t0 := time.Now()
 	err := d.media.Sync()
-	d.charge(Stats{MeasuredTime: time.Since(t0)}, nil)
+	d.charge(&Stats{MeasuredTime: time.Since(t0)}, nil)
 	return err
 }
 
@@ -292,7 +294,7 @@ func (d *Disk) mediaRead(start PageID, n int, dst []byte, sink *Client) error {
 	}
 	t0 := time.Now()
 	err := d.media.ReadPages(start, n, dst)
-	d.charge(Stats{MeasuredTime: time.Since(t0)}, sink)
+	d.charge(&Stats{MeasuredTime: time.Since(t0)}, sink)
 	return err
 }
 
@@ -303,7 +305,7 @@ func (d *Disk) mediaWrite(id PageID, page []byte) error {
 	}
 	t0 := time.Now()
 	err := d.media.WritePage(id, page)
-	d.charge(Stats{MeasuredTime: time.Since(t0)}, nil)
+	d.charge(&Stats{MeasuredTime: time.Since(t0)}, nil)
 	return err
 }
 
@@ -347,10 +349,13 @@ func (d *Disk) ResetStats() {
 }
 
 // charge applies a stats delta to the global counters and, when a session
-// client issued the I/O, to that client's counters.
-func (d *Disk) charge(delta Stats, sink *Client) {
+// client issued the I/O, to that client's counters. Every read charges at
+// least once, so the delta is added in place, never copied.
+//
+// hdov:hot-path
+func (d *Disk) charge(delta *Stats, sink *Client) {
 	d.statsMu.Lock()
-	d.stats = d.stats.add(delta)
+	d.stats.addIn(delta)
 	d.statsMu.Unlock()
 	if sink != nil {
 		sink.add(delta)
@@ -436,7 +441,7 @@ func (d *Disk) Quarantine(id PageID) {
 	}
 	d.mu.Unlock()
 	if wasted > 0 {
-		d.charge(Stats{PrefetchWasted: wasted}, nil)
+		d.charge(&Stats{PrefetchWasted: wasted}, nil)
 	}
 }
 
@@ -487,7 +492,7 @@ func (d *Disk) mediaErr(id PageID, corrupt bool, fi *faultInjector, br *breaker,
 	}
 	retries, cost, err := fi.check(corrupt, id)
 	if retries > 0 {
-		d.charge(Stats{Retries: retries, SimTime: cost}, sink)
+		d.charge(&Stats{Retries: retries, SimTime: cost}, sink)
 	}
 	if br != nil {
 		br.observe(id, err == nil)
@@ -598,7 +603,7 @@ func (d *Disk) WritePage(id PageID, data []byte) error {
 		d.breaker.heal(id)
 	}
 	d.mu.Unlock()
-	d.charge(Stats{Writes: 1, PrefetchWasted: wasted}, nil)
+	d.charge(&Stats{Writes: 1, PrefetchWasted: wasted}, nil)
 	return nil
 }
 
@@ -639,13 +644,13 @@ func (d *Disk) readPooled(id PageID, class Class, sink *Client, pool *bufferPool
 		if prefetched {
 			delta.PrefetchHits = 1
 		}
-		d.charge(delta, sink)
+		d.charge(&delta, sink)
 		return p, nil
 	}
 	if class == ClassHeavy {
-		d.charge(Stats{PoolHeavyMisses: 1}, sink)
+		d.charge(&Stats{PoolHeavyMisses: 1}, sink)
 	} else {
-		d.charge(Stats{PoolLightMisses: 1}, sink)
+		d.charge(&Stats{PoolLightMisses: 1}, sink)
 	}
 	// Coalesce concurrent misses on the same page: the first reader does
 	// the media read (and the pool insert); the rest wait for its result.
@@ -659,7 +664,7 @@ func (d *Disk) readPooled(id PageID, class Class, sink *Client, pool *bufferPool
 		return nil, err
 	}
 	if !leader {
-		d.charge(Stats{CoalescedReads: 1}, sink)
+		d.charge(&Stats{CoalescedReads: 1}, sink)
 	}
 	return page, nil
 }
@@ -675,7 +680,7 @@ func (d *Disk) transferPage(id PageID, sink *Client, pool *bufferPool) ([]byte, 
 	if pool != nil {
 		ev, wasted := pool.put(id, page)
 		if ev > 0 || wasted > 0 {
-			d.charge(Stats{PoolEvictions: ev, PrefetchWasted: wasted}, nil)
+			d.charge(&Stats{PoolEvictions: ev, PrefetchWasted: wasted}, nil)
 		}
 	}
 	return page, nil
@@ -747,10 +752,10 @@ func (d *Disk) account(id PageID, n int64, class Class, sink *Client) {
 	default:
 		delta.LightReads = n
 	}
-	d.stats = d.stats.add(delta)
+	d.stats.addIn(&delta)
 	d.statsMu.Unlock()
 	if sink != nil {
-		sink.add(delta)
+		sink.add(&delta)
 	}
 }
 
@@ -893,7 +898,7 @@ func (d *Disk) CorruptPage(id PageID) {
 	}
 	d.mu.Unlock()
 	if wasted > 0 {
-		d.charge(Stats{PrefetchWasted: wasted}, nil)
+		d.charge(&Stats{PrefetchWasted: wasted}, nil)
 	}
 }
 
@@ -935,9 +940,9 @@ func (d *Disk) NewClient() *Client { return &Client{d: d} }
 func (c *Client) Disk() *Disk { return c.d }
 
 // add accumulates a charged delta.
-func (c *Client) add(delta Stats) {
+func (c *Client) add(delta *Stats) {
 	c.mu.Lock()
-	c.s = c.s.add(delta)
+	c.s.addIn(delta)
 	c.mu.Unlock()
 }
 
@@ -952,7 +957,7 @@ func (c *Client) Stats() Stats {
 // Absorb folds another client's accounting into c without charging the
 // disk again: the disk counted those reads when they happened. A batch
 // that fans out over worker clients uses it to bill the caller.
-func (c *Client) Absorb(s Stats) { c.add(s) }
+func (c *Client) Absorb(s Stats) { c.add(&s) }
 
 // ResetStats zeroes the client's counters (the disk's are untouched).
 func (c *Client) ResetStats() {
@@ -1024,8 +1029,8 @@ func (c *Client) PinPage(id PageID, class Class) (*PinnedPage, error) {
 // RecordVDCacheHit charges one decoded-V-data cache hit (a V-page access
 // answered from memory, costing no page I/O). The vstore schemes call it
 // through whichever read handle their view charges to.
-func (d *Disk) RecordVDCacheHit() { d.charge(Stats{VDCacheHits: 1}, nil) }
+func (d *Disk) RecordVDCacheHit() { d.charge(&Stats{VDCacheHits: 1}, nil) }
 
 // RecordVDCacheHit mirrors Disk.RecordVDCacheHit with per-client
 // attribution.
-func (c *Client) RecordVDCacheHit() { c.d.charge(Stats{VDCacheHits: 1}, c) }
+func (c *Client) RecordVDCacheHit() { c.d.charge(&Stats{VDCacheHits: 1}, c) }

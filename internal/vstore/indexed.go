@@ -217,7 +217,7 @@ func (iv *IndexedVertical) SetCell(cell cells.CellID) error {
 		return iv.setCellCodec(cell)
 	}
 	desc := iv.dir[cell]
-	m := make(map[core.NodeID]int64, desc.count)
+	var m map[core.NodeID]int64 // nil: no node visible from the cell
 	if desc.start != storage.NilPage && desc.count > 0 {
 		buf, err := iv.io.ReadBytes(desc.start, segEntryBytes*int(desc.count), storage.ClassLight)
 		if err != nil {
@@ -239,7 +239,7 @@ func (iv *IndexedVertical) SetCell(cell cells.CellID) error {
 // no visible nodes flips with no I/O.
 func (iv *IndexedVertical) setCellCodec(cell cells.CellID) error {
 	desc := iv.cdir[cell]
-	m := map[core.NodeID]heapRef{}
+	var m map[core.NodeID]heapRef // nil: no node visible from the cell
 	if desc.off != nilSlot {
 		buf, err := readHeapUnit(iv.io, iv.heapBase, iv.heapBytes, heapRef{off: desc.off, n: desc.segLen})
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/cells"
 	"repro/internal/core"
 	"repro/internal/storage"
 )
@@ -104,5 +105,50 @@ func TestPooledFramesStayPristine(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestWarmQueryAllocs gates the allocations of a warm pooled query, the
+// path the cells-pooled benchmark measures: QueryCell plus Fetch on the
+// default database, every cell at the default η, after one sweep has
+// filled the buffer pool. Every read is then a pool hit and node records
+// come from the record table, so the count is deterministic and pinned
+// exactly; a change that moves it updates the literal. The one part that
+// is not deterministic is the cell flip, which decodes the cell's index
+// segment into a Go map: what a map costs depends on the toolchain's map
+// implementation, and before Go 1.24 on the hash seed. So each cell is
+// flipped to before its query is measured.
+func TestWarmQueryAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	db, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	db.SetCacheSize(65536)
+	s := db.NewSession()
+	query := func(cell int) {
+		r, err := s.QueryCell(cell, cfg.Eta)
+		if err == nil {
+			err = s.Fetch(r)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for cell := 0; cell < db.NumCells(); cell++ {
+		query(cell)
+	}
+	const want = 2466 // allocations over all cells: 17.1 per query
+	got := 0.0
+	for cell := 0; cell < db.NumCells(); cell++ {
+		if err := s.tree.VStoreScheme().SetCell(cells.CellID(cell)); err != nil {
+			t.Fatal(err)
+		}
+		got += testing.AllocsPerRun(1, func() { query(cell) })
+	}
+	if got != want {
+		t.Fatalf("warm queries of %d cells: %v allocs (%.1f per query), want %d",
+			db.NumCells(), got, got/float64(db.NumCells()), want)
 	}
 }
